@@ -25,8 +25,6 @@
 
 #include "block/mem_disk.h"
 #include "codec/codec.h"
-#include "common/crc32c.h"
-#include "common/endian.h"
 #include "common/rng.h"
 #include "net/inproc.h"
 #include "prins/intent_log.h"
@@ -103,16 +101,8 @@ Cell run_cell(std::size_t shards, std::uint64_t writes, int index) {
       msg.lba = (i * 2654435761ULL) % kHotBlocks;  // spread across shards
       msg.sequence = i + 1;
       msg.timestamp_us = i + 1;
-      const Bytes& payload = payloads[i % kDeltaTemplates];
-      Byte header[ReplicationMessage::kWireHeaderSize];
-      msg.encode_header(header, payload.size());
-      std::uint32_t crc = crc32c(ByteSpan(header));
-      crc = crc32c(ByteSpan(payload), crc);
-      Byte trailer[4];
-      store_le32(trailer, crc);
-      const ByteSpan parts[] = {ByteSpan(header), ByteSpan(payload),
-                                ByteSpan(trailer)};
-      if (Status s = wire.send_vec(parts); !s.is_ok()) {
+      const ByteSpan payload = payloads[i % kDeltaTemplates];
+      if (Status s = send_framed(wire, msg, {&payload, 1}); !s.is_ok()) {
         std::fprintf(stderr, "feeder send: %s\n", s.to_string().c_str());
         std::exit(1);
       }

@@ -1,7 +1,7 @@
 // Node-thread face-off for replica serving: thread-per-connection
-// (replica_serve_in_background: one demux thread + private pipeline per
-// session) vs the thread-free ReactorReplicaServer (handler-driven demux
-// into one shared set of LBA-striped apply workers).
+// (replica_serve_in_background: one recv() pump thread + a private
+// pipeline per session) vs the thread-free ReactorReplicaServer (reactor
+// handlers feeding one shared pipeline of LBA-striped apply workers).
 //
 // Every cell drives N initiator connections, each streaming windowed
 // PRINS parity deltas (kWrite, ZeroRle-framed) into a fresh 4-shard
@@ -11,7 +11,7 @@
 // thread count tracks the server architecture:
 //
 //   thread-per-conn   O(connections) node threads — each accepted session
-//                     parks a blocking demux thread plus its own workers
+//                     parks a blocking pump thread plus its own workers
 //   reactor           O(reactor_threads + apply_shards) node threads no
 //                     matter how many initiators are connected
 //

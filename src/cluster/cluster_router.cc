@@ -3,28 +3,11 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/crc32c.h"
 #include "common/endian.h"
 #include "prins/message.h"
 
 namespace prins::cluster {
 namespace {
-
-/// Frame and send one client request scatter-gather: stack header, the
-/// map-epoch-bearing payload prefix, the block data (writes only), chained
-/// CRC — the same zero-copy framing the replication senders use.
-Status send_client_frame(Transport& transport, const ReplicationMessage& meta,
-                         ByteSpan prefix, ByteSpan data) {
-  Byte header[ReplicationMessage::kWireHeaderSize];
-  meta.encode_header(header, prefix.size() + data.size());
-  std::uint32_t crc = crc32c(ByteSpan(header));
-  crc = crc32c(prefix, crc);
-  crc = crc32c(data, crc);
-  Byte trailer[4];
-  store_le32(trailer, crc);
-  const ByteSpan parts[] = {ByteSpan(header), prefix, data, ByteSpan(trailer)};
-  return transport.send_vec(parts);
-}
 
 /// Translate a kNak reply into the router's retry vocabulary.
 Status status_of_nak(const ReplicationMessage& nak) {
@@ -98,8 +81,10 @@ Status WireBackend::exchange_once(Conn& conn, const ReplicationMessage& request,
   if (!conn.transport) {
     PRINS_ASSIGN_OR_RETURN(conn.transport, connect_());
   }
-  PRINS_RETURN_IF_ERROR(send_client_frame(*conn.transport, request,
-                                          request.payload, data));
+  // Scatter-gather: the map-epoch-bearing payload prefix, then the block
+  // data (writes only).
+  const ByteSpan parts[] = {request.payload, data};
+  PRINS_RETURN_IF_ERROR(send_framed(*conn.transport, request, parts));
   for (;;) {
     Result<Bytes> wire = op_timeout_.count() > 0
                              ? conn.transport->recv_for(op_timeout_)

@@ -75,11 +75,15 @@ class TrafficMeter final : public Transport {
   std::string describe() const override {
     return "metered(" + inner_->describe() + ")";
   }
+  Transport* underlying() override { return inner_->underlying(); }
 
   TrafficStats sent() const {
     std::lock_guard lock(mutex_);
     return sent_;
   }
+  /// Counts only frames pulled through recv()/recv_for().  Frames a
+  /// reactor connection hands to its message handler bypass every
+  /// decorator, just as they bypass FaultyTransport's receive-side faults.
   TrafficStats received() const {
     std::lock_guard lock(mutex_);
     return received_;

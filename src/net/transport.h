@@ -61,7 +61,7 @@ class Transport {
   virtual std::string describe() const = 0;
 
   /// The innermost transport this one delivers through.  Decorators
-  /// (faulty, latent, shaped) override to return their inner transport's
+  /// (faulty, shaped, metered) override to return their inner transport's
   /// underlying(); base transports return themselves.  Lets reactor-aware
   /// code (ReactorReplicaServer, the engine's reactor senders) find the
   /// ReactorTcpTransport inside a decorator stack and register loop-thread

@@ -1050,19 +1050,10 @@ Status PrinsEngine::send_entry_locked(ReplicaLink& link, OutMessage& entry) {
     entry.payload = std::move(fresh);
     entry.needs_encode = false;
   }
-  // Scatter-gather framing: the header is encoded on the stack, the payload
-  // frame is the shared pooled buffer, and the trailing CRC chains across
-  // both — byte-identical to ReplicationMessage::encode() without ever
-  // materializing the flat wire copy.
-  Byte header[ReplicationMessage::kWireHeaderSize];
-  entry.meta.encode_header(header, entry.payload.size());
-  std::uint32_t crc = crc32c(ByteSpan(header));
-  crc = crc32c(entry.payload.span(), crc);
-  Byte trailer[4];
-  store_le32(trailer, crc);
-  const ByteSpan parts[] = {ByteSpan(header), entry.payload.span(),
-                            ByteSpan(trailer)};
-  return link.transport->send_vec(parts);
+  // The payload frame is the shared pooled buffer; send_framed stacks the
+  // header and chains the CRC across it, no flat wire copy.
+  const ByteSpan payload = entry.payload.span();
+  return send_framed(*link.transport, entry.meta, {&payload, 1});
 }
 
 void PrinsEngine::convert_to_repair_locked(OutMessage& entry) {

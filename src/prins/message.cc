@@ -4,6 +4,7 @@
 
 #include "common/crc32c.h"
 #include "common/endian.h"
+#include "net/transport.h"
 
 namespace prins {
 namespace {
@@ -159,6 +160,28 @@ Result<MessageView> ReplicationMessage::decode_view(ByteSpan wire) {
 Result<ReplicationMessage> ReplicationMessage::decode(ByteSpan wire) {
   PRINS_ASSIGN_OR_RETURN(MessageView view, decode_view(wire));
   return view.to_message();
+}
+
+Status send_framed(Transport& transport, const ReplicationMessage& meta,
+                   std::span<const ByteSpan> payload_parts) {
+  constexpr std::size_t kMaxPayloadParts = 4;
+  if (payload_parts.size() > kMaxPayloadParts) {
+    return invalid_argument("send_framed: too many payload parts");
+  }
+  std::size_t payload_size = 0;
+  for (const ByteSpan& part : payload_parts) payload_size += part.size();
+  Byte header[kHeaderSize];
+  meta.encode_header(header, payload_size);
+  std::uint32_t crc = crc32c(ByteSpan(header));
+  for (const ByteSpan& part : payload_parts) crc = crc32c(part, crc);
+  Byte trailer[4];
+  store_le32(trailer, crc);
+  ByteSpan parts[kMaxPayloadParts + 2];
+  std::size_t n = 0;
+  parts[n++] = ByteSpan(header);
+  for (const ByteSpan& part : payload_parts) parts[n++] = part;
+  parts[n++] = ByteSpan(trailer);
+  return transport.send_vec(std::span<const ByteSpan>(parts, n));
 }
 
 MessageView ReplicationMessage::view() const {

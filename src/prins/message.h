@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -17,6 +18,8 @@
 #include "prins/replication_policy.h"
 
 namespace prins {
+
+class Transport;
 
 using Lba = std::uint64_t;  // same alias as block/block_device.h
 
@@ -103,7 +106,7 @@ enum class NakReason : std::uint8_t {
 };
 
 /// One contiguous run of applied sequences inside a kAckBatch payload.
-/// The replica's ack stage coalesces per-worker completions into runs;
+/// The replica's ack path coalesces per-worker completions into runs;
 /// holes between runs are sequences still in flight (or NAK'd separately).
 struct AckRange {
   std::uint64_t first_sequence = 0;
@@ -175,5 +178,13 @@ struct ReplicationMessage {
   /// View of this message (payload aliases this->payload).
   MessageView view() const;
 };
+
+/// Send `meta` framed scatter-gather: stack header, the payload given as up
+/// to four parts (their concatenation; `meta.payload` is ignored), chained
+/// CRC trailer.  The frame is byte-identical to encode() of the message
+/// with that payload, without ever materializing the flat copy.  The one
+/// framer every replication sender and replier uses.
+Status send_framed(Transport& transport, const ReplicationMessage& meta,
+                   std::span<const ByteSpan> payload_parts);
 
 }  // namespace prins

@@ -1,36 +1,15 @@
 // ReactorReplicaServer: thread-free replica serving on the reactor.
 //
-// serve() (replica.h) parks one demux thread per connection plus a private
-// worker/ack pipeline per session.  This server inverts that: every
-// accepted connection's frame loop runs as a `set_message_handler`
-// callback on its reactor loop thread, demuxing straight into ONE shared
-// set of LBA-striped apply workers.  Node thread count is
+// The reactor front end of the replica apply pipeline
+// (prins/replica_pipeline.h), the same core ReplicaEngine::serve() pumps
+// from a blocking transport.  Every accepted connection becomes a
+// pipeline session fed from its `set_message_handler` callback on the
+// reactor loop thread, and all sessions share ONE pipeline:
+// replica->apply_shards() LBA-striped apply workers.  Node thread count is
 // O(reactor_threads + apply_shards) no matter how many initiators are
-// connected — the property the PRINS pipeline needs to serve many
-// primaries (and the multi-primary cluster of ROADMAP item 2) without a
-// thread explosion.
-//
-//   loop thread    decode_view once; write-kind frames dispatch to the
-//                  shard queue for their LBA stripe (same stripe invariant
-//                  as serve(): same-block XOR deltas stay ordered);
-//                  torn frames NAK inline (send never blocks on-loop)
-//   apply workers  one per apply shard, shared by every connection; each
-//                  apply's completion lands in the session's ack buffer
-//   ack path       whichever worker finds the buffer un-flushed drains it
-//                  (a combining lock): under load completions pile up and
-//                  coalesce into cumulative kAckBatch frames, when idle
-//                  each ack goes out immediately
-//
-// Backpressure is per connection, not per queue: the handler must never
-// block, so instead of a bounded-queue wait the server pauses the
-// connection's reads (set_read_paused) once its in-flight frames hit
-// max_in_flight_per_conn, resuming at half.  Control frames (barrier,
-// verify, hash, hello, read-block) pause reads and wait for the session's
-// in-flight writes to drain before applying — the same quiesce-then-apply
-// contract as serve(), scoped to the session.
-//
-// The blocking serve() path remains for non-reactor transports; the two
-// are wire-identical.
+// connected — the property a node serving many primaries needs.  A
+// session's pause hook is the connection's set_read_paused, so
+// backpressure never blocks a loop thread.
 #pragma once
 
 #include <cstdint>
@@ -51,21 +30,17 @@ struct ReactorReplicaServerOptions {
   /// a FaultyTransport to storm-test the reactor path).  The server finds
   /// the reactor connection inside the decorator stack via
   /// Transport::underlying(), so replies ride the decorated transport
-  /// while frame fan-in stays handler-driven.
+  /// while frame fan-in stays handler-driven: received frames bypass the
+  /// decorator (a TrafficMeter counts only the replies it sends, a
+  /// FaultyTransport's receive-side faults never fire).
   std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)>
       wrap_transport;
-  /// Write frames a connection may have dispatched-but-unacked before its
-  /// reads pause (resumes at half).  Bounds queued work per initiator.
-  std::size_t max_in_flight_per_conn = 128;
-  /// Max completions folded into one ack frame, as ReplicaConfig's knob.
-  std::size_t ack_coalesce_max = 64;
 };
 
 class ReactorReplicaServer {
  public:
   /// Bind a ReactorListener on `pool` and serve `replica` to every
-  /// connection, handler-driven.  Runs replica->apply_shards() shared
-  /// apply workers.
+  /// connection, handler-driven, through one shared ReplicaPipeline.
   static Result<std::unique_ptr<ReactorReplicaServer>> start(
       std::shared_ptr<ReplicaEngine> replica,
       std::shared_ptr<ReactorPool> pool,

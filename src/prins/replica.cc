@@ -8,13 +8,13 @@
 
 #include "block/cached_disk.h"
 #include "codec/codec.h"
-#include "common/buffer_pool.h"
 #include "common/crc32c.h"
 #include "common/endian.h"
 #include "common/env.h"
 #include "common/logging.h"
 #include "parity/xor.h"
 #include "prins/engine.h"
+#include "prins/replica_pipeline.h"
 #include "prins/verify.h"
 
 namespace prins {
@@ -33,26 +33,6 @@ std::size_t resolve_apply_shards(std::size_t requested) {
   return pow2;
 }
 
-/// Frame a reply scatter-gather (stack header + payload span + chained-CRC
-/// trailer), the same shape as the primary's send_entry path: no flat
-/// encode, no contiguous copy.
-Status send_framed(Transport& transport, const ReplicationMessage& meta,
-                   ByteSpan payload) {
-  Byte header[ReplicationMessage::kWireHeaderSize];
-  meta.encode_header(header, payload.size());
-  std::uint32_t crc = crc32c(ByteSpan(header));
-  crc = crc32c(payload, crc);
-  Byte trailer[4];
-  store_le32(trailer, crc);
-  const ByteSpan parts[] = {ByteSpan(header), payload, ByteSpan(trailer)};
-  return transport.send_vec(parts);
-}
-
-bool is_write_kind(MessageKind kind) {
-  return kind == MessageKind::kWrite || kind == MessageKind::kSyncBlock ||
-         kind == MessageKind::kRepairBlock;
-}
-
 }  // namespace
 
 ReplicaEngine::ReplicaEngine(std::shared_ptr<BlockDevice> local,
@@ -60,7 +40,6 @@ ReplicaEngine::ReplicaEngine(std::shared_ptr<BlockDevice> local,
     : local_(std::move(local)), config_(config),
       cluster_epoch_(config.cluster_epoch) {
   config_.apply_shards = resolve_apply_shards(config_.apply_shards);
-  if (config_.apply_queue_capacity == 0) config_.apply_queue_capacity = 1;
   if (config_.ack_coalesce_max == 0) config_.ack_coalesce_max = 1;
   shards_.reserve(config_.apply_shards);
   for (std::size_t i = 0; i < config_.apply_shards; ++i) {
@@ -79,200 +58,29 @@ ReplicaEngine::ReplicaEngine(std::shared_ptr<BlockDevice> local,
 ReplicaEngine::~ReplicaEngine() = default;
 
 Status ReplicaEngine::serve(Transport& transport) {
-  // ---- Pipeline plumbing, all scoped to this connection. ----------------
-  struct WorkItem {
-    Bytes wire;        // owning buffer; view.payload aliases it
-    MessageView view;
-    bool client_read = false;  // serve + reply directly, skip the ack stage
-  };
-  struct ShardQueue {
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<WorkItem> q;
-    bool closed = false;
-  };
-  struct Completion {
-    std::uint64_t sequence = 0;
-    Lba lba = 0;
-    ApplyOutcome outcome = ApplyOutcome::kApplied;
-  };
-  struct AckQueue {
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<Completion> q;
-    bool closed = false;
-  };
-
-  const std::size_t nshards = shards_.size();
-  std::vector<ShardQueue> queues(nshards);
-  AckQueue acks;
-  std::mutex send_mutex;          // one reply frame on the wire at a time
-  std::mutex error_mutex;
-  Status session_error;           // first fatal error from any stage
-  std::atomic<std::size_t> in_flight{0};  // dispatched, not yet completed
-  std::mutex idle_mutex;
-  std::condition_variable idle_cv;
-
-  auto fail_session = [&](const Status& s) {
-    {
-      std::lock_guard lock(error_mutex);
-      if (session_error.is_ok()) session_error = s;
-    }
-    transport.close();  // wake the demux stage out of recv()
-  };
-
-  auto send_reply = [&](const ReplicationMessage& meta, ByteSpan payload) {
-    std::lock_guard lock(send_mutex);
-    return send_framed(transport, meta, payload);
-  };
-
-  // ---- Apply workers: one per LBA stripe, FIFO per stripe. --------------
-  auto worker_loop = [&](std::size_t index) {
-    ShardQueue& queue = queues[index];
-    for (;;) {
-      WorkItem item;
-      {
-        std::unique_lock lock(queue.m);
-        queue.cv.wait(lock, [&] { return !queue.q.empty() || queue.closed; });
-        if (queue.q.empty()) break;  // closed and drained
-        item = std::move(queue.q.front());
-        queue.q.pop_front();
-      }
-      queue.cv.notify_all();  // demux may be blocked on capacity
-      if (item.client_read) {
-        // Client reads ride the shard queue (FIFO behind same-stripe
-        // applies, shard-lock-atomic device read) but reply directly —
-        // their answer is a block, not an ack, and must not be coalesced.
-        auto reply = serve_client_read(item.view);
-        Status sent = reply.is_ok() ? send_reply(*reply, reply->payload)
-                                    : reply.status();
-        if (!sent.is_ok() && sent.code() != ErrorCode::kUnavailable) {
-          fail_session(sent);
+  // The blocking front end: a pipeline of this call's own, fed by a recv()
+  // pump that waits while the pipeline holds reads paused.
+  std::mutex pause_mutex;
+  std::condition_variable pause_cv;
+  bool paused = false;
+  ReplicaPipeline pipeline(*this);
+  // Non-owning: the caller's transport outlives this call, and every
+  // worker is joined before it returns.
+  auto session = pipeline.open(
+      std::shared_ptr<Transport>(std::shared_ptr<void>(), &transport),
+      [&](bool pause) {
+        {
+          std::lock_guard lock(pause_mutex);
+          paused = pause;
         }
-      } else {
-        auto outcome = apply_write_message(item.view);
-        if (outcome.is_ok()) {
-          {
-            std::lock_guard lock(acks.m);
-            acks.q.push_back(
-                Completion{item.view.sequence, item.view.lba, *outcome});
-          }
-          acks.cv.notify_one();
-        } else {
-          fail_session(outcome.status());
-        }
-      }
-      if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(idle_mutex);
-        idle_cv.notify_all();
-      }
-    }
-  };
-
-  // ---- Ack stage: coalesce completions into cumulative ack frames. ------
-  auto ack_loop = [&] {
-    BufferPool payload_pool(4 + config_.ack_coalesce_max * 12, 4);
-    std::vector<Completion> batch;
-    std::vector<std::uint64_t> acked;
-    for (;;) {
-      batch.clear();
-      {
-        std::unique_lock lock(acks.m);
-        acks.cv.wait(lock, [&] { return !acks.q.empty() || acks.closed; });
-        if (acks.q.empty()) break;  // closed and drained
-        const std::size_t take =
-            std::min(acks.q.size(), config_.ack_coalesce_max);
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(acks.q.front());
-          acks.q.pop_front();
-        }
-      }
-      acked.clear();
-      Lba last_lba = 0;
-      std::uint64_t newest = 0;
-      Status sent = Status::ok();
-      for (const Completion& c : batch) {
-        if (c.outcome == ApplyOutcome::kApplied) {
-          acked.push_back(c.sequence);
-          if (c.sequence >= newest) {
-            newest = c.sequence;
-            last_lba = c.lba;
-          }
-          continue;
-        }
-        // NAKs are the holes: they stay individual frames so the primary
-        // can match each to its entry (and read the reason byte).
-        ReplicationMessage nak;
-        nak.kind = MessageKind::kNak;
-        nak.cluster_epoch = cluster_epoch();
-        nak.sequence = c.sequence;
-        nak.lba = c.lba;
-        Byte reason = static_cast<Byte>(NakReason::kNeedFullBlock);
-        ByteSpan payload;
-        if (c.outcome == ApplyOutcome::kNakFullBlock) {
-          payload = ByteSpan(&reason, 1);
-        } else if (c.outcome == ApplyOutcome::kNakStaleEpoch) {
-          reason = static_cast<Byte>(NakReason::kStaleEpoch);
-          payload = ByteSpan(&reason, 1);
-        }
-        sent = send_reply(nak, payload);
-        if (!sent.is_ok()) break;
-      }
-      if (sent.is_ok() && acked.size() == 1) {
-        // A lone completion acks plainly — byte-compatible with the
-        // one-frame-at-a-time resync and heal exchanges.
-        ReplicationMessage ack;
-        ack.kind = MessageKind::kAck;
-        ack.cluster_epoch = cluster_epoch();
-        ack.sequence = acked[0];
-        ack.lba = last_lba;
-        sent = send_reply(ack, {});
-      } else if (sent.is_ok() && acked.size() > 1) {
-        const std::vector<AckRange> ranges = coalesce_ack_ranges(acked);
-        PooledBuffer payload = payload_pool.acquire(0);
-        Bytes& bytes = payload.mutable_bytes();
-        bytes.clear();
-        append_le32(bytes, static_cast<std::uint32_t>(ranges.size()));
-        for (const AckRange& range : ranges) {
-          append_le64(bytes, range.first_sequence);
-          append_le32(bytes, range.count);
-        }
-        ReplicationMessage ack;
-        ack.kind = MessageKind::kAckBatch;
-        ack.cluster_epoch = cluster_epoch();
-        ack.sequence = newest;
-        ack.lba = last_lba;
-        sent = send_reply(ack, bytes);
-        if (sent.is_ok()) {
-          std::lock_guard lock(mutex_);
-          metrics_.ack_batches += 1;
-          metrics_.acks_batched += acked.size();
-        }
-      }
-      if (!sent.is_ok()) {
-        // The peer hanging up mid-ack is a clean end of session (the demux
-        // sees the same close); anything else is fatal.
-        if (sent.code() != ErrorCode::kUnavailable) fail_session(sent);
-        break;
-      }
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) workers.emplace_back(worker_loop, i);
-  std::thread ack_thread(ack_loop);
-
-  auto quiesce = [&] {
-    std::unique_lock lock(idle_mutex);
-    idle_cv.wait(lock, [&] {
-      return in_flight.load(std::memory_order_acquire) == 0;
-    });
-  };
-
-  // ---- Demux stage: decode once, stripe by LBA. -------------------------
+        pause_cv.notify_all();
+      });
   Status result = Status::ok();
   for (;;) {
+    {
+      std::unique_lock lock(pause_mutex);
+      pause_cv.wait(lock, [&] { return !paused; });
+    }
     auto wire = transport.recv();
     if (!wire.is_ok()) {
       if (wire.status().code() != ErrorCode::kUnavailable) {
@@ -280,78 +88,10 @@ Status ReplicaEngine::serve(Transport& transport) {
       }
       break;
     }
-    {
-      std::lock_guard lock(mutex_);
-      metrics_.bytes_received += wire->size();
-    }
-    auto msg = ReplicationMessage::decode_view(*wire);
-    if (!msg.is_ok()) {
-      // A torn frame is the link's fault, not the session's: NAK so the
-      // primary retransmits.  Sequence 0 = "couldn't even read the header";
-      // the primary resends everything un-acked and dedup absorbs overlap.
-      {
-        std::lock_guard lock(mutex_);
-        metrics_.naks_sent += 1;
-      }
-      ReplicationMessage nak;
-      nak.kind = MessageKind::kNak;
-      nak.cluster_epoch = cluster_epoch();
-      if (Status s = send_reply(nak, {}); !s.is_ok()) {
-        result = s;
-        break;
-      }
-      continue;
-    }
-    const bool client_read = msg->kind == MessageKind::kClientReadRequest;
-    if (is_write_kind(msg->kind) || client_read) {
-      // Moving the owning Bytes relocates the vector header only; the heap
-      // bytes the view's payload aliases stay put.
-      ShardQueue& queue = queues[msg->lba & (nshards - 1)];
-      std::unique_lock lock(queue.m);
-      queue.cv.wait(lock, [&] {
-        return queue.q.size() < config_.apply_queue_capacity;
-      });
-      in_flight.fetch_add(1, std::memory_order_acq_rel);
-      queue.q.push_back(WorkItem{std::move(*wire), *msg, client_read});
-      const std::uint64_t depth = queue.q.size();
-      lock.unlock();
-      queue.cv.notify_all();
-      std::uint64_t peak = apply_queue_peak_.load(std::memory_order_relaxed);
-      while (depth > peak && !apply_queue_peak_.compare_exchange_weak(
-                                 peak, depth, std::memory_order_relaxed)) {
-      }
-      continue;
-    }
-    // Barriers, verifies, hashes, hellos, read-blocks: rare control frames
-    // whose answers must observe every prior write — drain the pipeline,
-    // then handle inline.
-    quiesce();
-    auto reply = apply_view(*msg);
-    if (!reply.is_ok()) {
-      result = reply.status();
-      break;
-    }
-    if (Status s = send_reply(*reply, reply->payload); !s.is_ok()) {
-      result = s;
-      break;
-    }
+    pipeline.feed(session, std::move(*wire));
   }
-
-  // ---- Teardown: drain workers, then the ack stage. ---------------------
-  for (ShardQueue& queue : queues) {
-    std::lock_guard lock(queue.m);
-    queue.closed = true;
-    queue.cv.notify_all();
-  }
-  for (std::thread& worker : workers) worker.join();
-  {
-    std::lock_guard lock(acks.m);
-    acks.closed = true;
-    acks.cv.notify_all();
-  }
-  ack_thread.join();
-
-  std::lock_guard lock(error_mutex);
+  const Status session_error = pipeline.wait_idle(*session);
+  pipeline.stop();
   return session_error.is_ok() ? result : session_error;
 }
 
@@ -400,16 +140,7 @@ Result<ReplicationMessage> ReplicaEngine::dispatch_view(
       PRINS_ASSIGN_OR_RETURN(ApplyOutcome outcome,
                              apply_write_message(message));
       if (outcome != ApplyOutcome::kApplied) {
-        ReplicationMessage nak;
-        nak.kind = MessageKind::kNak;
-        nak.sequence = message.sequence;
-        nak.lba = message.lba;
-        if (outcome == ApplyOutcome::kNakFullBlock) {
-          nak.payload.push_back(static_cast<Byte>(NakReason::kNeedFullBlock));
-        } else if (outcome == ApplyOutcome::kNakStaleEpoch) {
-          nak.payload.push_back(static_cast<Byte>(NakReason::kStaleEpoch));
-        }
-        return nak;
+        return write_nak(outcome, message.sequence, message.lba);
       }
       break;
     }
@@ -524,6 +255,20 @@ bool ReplicaEngine::epoch_current(std::uint64_t frame_epoch) {
   return frame_epoch == current;
 }
 
+ReplicationMessage ReplicaEngine::write_nak(ApplyOutcome outcome,
+                                            std::uint64_t sequence, Lba lba) {
+  ReplicationMessage nak;
+  nak.kind = MessageKind::kNak;
+  nak.sequence = sequence;
+  nak.lba = lba;
+  if (outcome == ApplyOutcome::kNakFullBlock) {
+    nak.payload.push_back(static_cast<Byte>(NakReason::kNeedFullBlock));
+  } else if (outcome == ApplyOutcome::kNakStaleEpoch) {
+    nak.payload.push_back(static_cast<Byte>(NakReason::kStaleEpoch));
+  }
+  return nak;
+}
+
 ReplicationMessage ReplicaEngine::stale_epoch_nak(std::uint64_t sequence,
                                                   Lba lba) {
   {
@@ -531,12 +276,9 @@ ReplicationMessage ReplicaEngine::stale_epoch_nak(std::uint64_t sequence,
     metrics_.naks_sent += 1;
     metrics_.stale_epoch_naks += 1;
   }
-  ReplicationMessage nak;
-  nak.kind = MessageKind::kNak;
+  ReplicationMessage nak =
+      write_nak(ApplyOutcome::kNakStaleEpoch, sequence, lba);
   nak.cluster_epoch = cluster_epoch();  // tell the zombie where the world is
-  nak.sequence = sequence;
-  nak.lba = lba;
-  nak.payload.push_back(static_cast<Byte>(NakReason::kStaleEpoch));
   return nak;
 }
 

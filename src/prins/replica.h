@@ -5,17 +5,17 @@
 // will perform the reverse computation ... and store the data in its local
 // storage using the same LBA."  (§2)
 //
-// serve() runs a bounded pipeline mirroring the primary's sharded submit
-// side: a demux stage decodes each frame once (decode_view, zero-copy) and
-// dispatches write-kind messages to N apply workers striped by LBA, so
-// same-block parity deltas stay serialized (XOR chains must telescope)
-// while independent blocks apply concurrently.  Worker completions flow to
-// an ack stage that coalesces them into cumulative kAckBatch frames.  An
-// optional write-through LRU (the old-block apply cache) elides the
-// read-modify-write disk read for hot LBAs, and the intent log group-
-// commits so parallel workers share fsyncs.  Optionally feeds every
-// applied delta into a TrapLog, giving the replica continuous data
-// protection for free.
+// serve() is the blocking front end of the replica apply pipeline
+// (prins/replica_pipeline.h), the same core ReactorReplicaServer drives
+// from reactor handlers: each frame is decoded once (decode_view,
+// zero-copy) and write-kind messages go to N apply workers striped by LBA,
+// so same-block parity deltas stay serialized (XOR chains must telescope)
+// while independent blocks apply concurrently; completions coalesce into
+// cumulative kAckBatch frames.  An optional write-through LRU (the
+// old-block apply cache) elides the read-modify-write disk read for hot
+// LBAs, and the intent log group-commits so parallel workers share
+// fsyncs.  Optionally feeds every applied delta into a TrapLog, giving the
+// replica continuous data protection for free.
 #pragma once
 
 #include <atomic>
@@ -52,18 +52,17 @@ struct ReplicaConfig {
   /// 0 checkpoints only on barriers.  Bounds both the log size and the
   /// restart replay work.
   std::uint64_t intent_checkpoint_every = 256;
-  /// Apply workers serve() runs, striped by LBA (shard = lba mod shards)
-  /// so same-block deltas keep their order while independent blocks apply
-  /// concurrently.  0 (default) auto-sizes: the PRINS_APPLY_SHARDS
-  /// environment variable if set, else the hardware thread count; the
-  /// result is rounded up to a power of two (masking beats modulo) and
-  /// clamped to 32.  1 reproduces the historical in-order loop.
+  /// Apply workers of the replica pipeline, striped by LBA (shard = lba
+  /// mod shards) so same-block deltas keep their order while independent
+  /// blocks apply concurrently.  0 (default) auto-sizes: the
+  /// PRINS_APPLY_SHARDS environment variable if set, else the hardware
+  /// thread count; the result is rounded up to a power of two (masking
+  /// beats modulo) and clamped to 32.  1 reproduces the historical
+  /// in-order loop.
   std::size_t apply_shards = 0;
-  /// Frames a shard's dispatch queue may hold; the demux stage blocks when
-  /// full, back-pressuring the transport.
-  std::size_t apply_queue_capacity = 128;
-  /// Max completions folded into one ack frame.  1 disables batching
-  /// (every apply acks individually, the pre-pipeline wire behavior).
+  /// Max completions folded into one ack frame, by serve() and
+  /// ReactorReplicaServer alike.  1 disables batching (every apply acks
+  /// individually, the pre-pipeline wire behavior).
   std::size_t ack_coalesce_max = 64;
   /// Old-block apply cache: capacity (in blocks) of a write-through LRU in
   /// front of the local device's apply path, so the A_old read of a hot
@@ -95,7 +94,7 @@ struct ReplicaMetrics {
                                           //   min_sequence not yet applied
   std::uint64_t torn_blocks_detected = 0;  // intent replay found a torn apply
   std::uint64_t full_repairs_requested = 0;  // NAKs asking for a full block
-  // Pipeline counters (serve()'s demux/worker/ack stages).
+  // Pipeline counters (prins/replica_pipeline.h).
   std::uint64_t ack_batches = 0;       // kAckBatch frames sent
   std::uint64_t acks_batched = 0;      // completions those frames covered
   std::uint64_t apply_queue_peak = 0;  // deepest dispatch queue observed
@@ -111,13 +110,16 @@ class ReplicaEngine {
   ReplicaEngine(std::shared_ptr<BlockDevice> local, ReplicaConfig config = {});
   ~ReplicaEngine();
 
-  /// Serve one primary connection until it closes.  OK on clean disconnect.
-  /// A frame that fails CRC/decode is NAK'd (the primary retransmits), not
-  /// fatal; device errors still end the session with the error.
+  /// Serve one primary connection until it closes: a recv() pump feeding
+  /// a ReplicaPipeline with apply_shards() workers of this call's own.
+  /// OK on clean disconnect.  A frame that fails CRC/decode is NAK'd (the
+  /// primary retransmits), not fatal; device errors still end the session
+  /// with the error.
   Status serve(Transport& transport);
 
   /// Apply a single message and build the reply (ACK / verify reply / NAK).
-  /// Exposed for deterministic unit tests; serve() pipelines this logic.
+  /// Exposed for deterministic unit tests; the pipeline runs control
+  /// frames through it.
   ///
   /// Write-kind messages with a nonzero sequence are deduplicated against a
   /// sliding window of recently applied sequences: a re-delivered message
@@ -129,7 +131,7 @@ class ReplicaEngine {
 
   /// Zero-copy variant: the payload span may alias the wire buffer (see
   /// ReplicationMessage::decode_view), so nothing is copied between recv()
-  /// and the device write.  serve() uses this; apply() wraps it.
+  /// and the device write.  apply() wraps it.
   Result<ReplicationMessage> apply_view(const MessageView& message);
 
   /// Replay the write-intent log after a restart.  A block whose contents
@@ -189,11 +191,10 @@ class ReplicaEngine {
   BlockDevice& device() { return *local_; }
 
  private:
-  // The reactor-hosted server pipelines apply_write_message/metrics the
-  // same way serve() does, without a thread per connection.
-  friend class ReactorReplicaServer;
+  // The apply pipeline both serving front ends share.
+  friend class ReplicaPipeline;
 
-  /// What a write-kind apply tells the ack stage.
+  /// What a write-kind apply tells the ack path.
   enum class ApplyOutcome : std::uint8_t {
     kApplied = 0,       // ack it (covers deduplicated redeliveries)
     kNakResend = 1,     // codec frame corrupt: retransmit as-is
@@ -220,6 +221,11 @@ class ReplicaEngine {
   ApplyShard& shard_for(Lba lba) {
     return *shards_[lba & (shards_.size() - 1)];
   }
+
+  /// The NAK answering a write that did not apply (payload = NakReason
+  /// byte; none for kNakResend).  The caller stamps the epoch.
+  static ReplicationMessage write_nak(ApplyOutcome outcome,
+                                      std::uint64_t sequence, Lba lba);
 
   /// Dedup-check + apply + record, under the LBA's shard lock.  Returns
   /// the ack/NAK disposition; a non-OK status is a fatal session error.

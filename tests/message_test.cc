@@ -5,6 +5,7 @@
 #include "common/crc32c.h"
 #include "common/endian.h"
 #include "common/rng.h"
+#include "net/transport.h"
 #include "prins/message.h"
 #include "prins/verify.h"
 
@@ -24,8 +25,42 @@ ReplicationMessage sample_message() {
   return msg;
 }
 
+// Records each frame handed to send_vec() as one contiguous message.
+class CapturingTransport final : public Transport {
+ public:
+  Status send(ByteSpan message) override {
+    frames.push_back(to_bytes(message));
+    return Status::ok();
+  }
+  Status send_vec(std::span<const ByteSpan> parts) override {
+    Bytes frame;
+    for (const ByteSpan& part : parts) append(frame, part);
+    frames.push_back(std::move(frame));
+    return Status::ok();
+  }
+  Result<Bytes> recv() override { return unavailable("send-only"); }
+  void close() override {}
+  std::string describe() const override { return "capture"; }
+
+  std::vector<Bytes> frames;
+};
+
 TEST(ReplicationMessageTest, RoundTrip) {
   const ReplicationMessage msg = sample_message();
+  // The scatter-gather framer, with the payload split into 0, 1 or 2
+  // parts, writes exactly encode()'s bytes.
+  for (std::size_t nparts = 0; nparts <= 2; ++nparts) {
+    ReplicationMessage framed = msg;
+    if (nparts == 0) framed.payload.clear();
+    const ByteSpan payload = framed.payload;
+    std::vector<ByteSpan> parts;
+    if (nparts == 1) parts = {payload};
+    if (nparts == 2) parts = {payload.first(2), payload.subspan(2)};
+    CapturingTransport capture;
+    ASSERT_TRUE(send_framed(capture, framed, parts).is_ok());
+    ASSERT_EQ(capture.frames.size(), 1u);
+    EXPECT_EQ(capture.frames[0], framed.encode()) << nparts << " parts";
+  }
   auto back = ReplicationMessage::decode(msg.encode());
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   EXPECT_EQ(back->kind, msg.kind);

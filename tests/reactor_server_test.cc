@@ -9,24 +9,32 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "block/mem_disk.h"
 #include "codec/codec.h"
+#include "common/crc32c.h"
+#include "common/endian.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "iscsi/initiator.h"
 #include "iscsi/reactor_target.h"
 #include "iscsi/target.h"
 #include "net/faulty.h"
+#include "net/inproc.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
+#include "net/shaped_transport.h"
 #include "net/tcp.h"
+#include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/intent_log.h"
 #include "prins/reactor_server.h"
 #include "prins/replica.h"
+#include "prins/verify.h"
 
 namespace prins {
 namespace {
@@ -409,6 +417,313 @@ TEST(ReactorReplicaServerTest, RestartUnderLoadAppliesExactlyOnce) {
             unacked.size() + 20);
   (*server)->stop();
   std::remove(intent_path.c_str());
+}
+
+TEST(ReactorReplicaServerTest, MeteredConnectionsAreServed) {
+  // TrafficMeter forwards Transport::underlying(), so a metered accepted
+  // connection still reaches its reactor connection: the session is served
+  // (not dropped as "non-reactor"), and the meter counts the replies the
+  // replica sends.  Received frames reach the pipeline through the reactor
+  // handler, bypassing the decorator, so received() stays zero.
+  constexpr std::uint32_t kBs = 1024;
+  constexpr std::uint64_t kBlocks = 32;
+  ReplicaConfig rconfig;
+  rconfig.apply_shards = 2;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk, rconfig);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+
+  std::mutex meters_mutex;
+  std::vector<TrafficMeter*> meters;
+  ReactorReplicaServerOptions options;
+  options.wrap_transport =
+      [&](std::unique_ptr<Transport> conn) -> std::unique_ptr<Transport> {
+    auto meter = std::make_unique<TrafficMeter>(std::move(conn));
+    std::lock_guard lock(meters_mutex);
+    meters.push_back(meter.get());
+    return meter;
+  };
+  auto server = ReactorReplicaServer::start(replica, *pool, options);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+
+  EngineConfig config;
+  config.retry.op_timeout = 2s;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  {
+    auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(link.is_ok());
+    engine->add_replica(std::move(*link));
+  }
+  Rng rng(83);
+  Bytes block(kBs);
+  for (int i = 0; i < 100; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE(engine->write(rng.next_below(kBlocks), block).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+  {
+    std::lock_guard lock(meters_mutex);
+    ASSERT_EQ(meters.size(), 1u);
+    EXPECT_GT(meters[0]->sent().messages, 0u);
+    EXPECT_EQ(meters[0]->received().messages, 0u);
+  }
+  Bytes want(kBs), got(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, want).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, got).is_ok());
+    ASSERT_EQ(want, got) << "diverged at lba " << lba;
+  }
+  // Stop the server first: its handler teardown orders the meter reads
+  // above before the connection (and its meter) dies on a loop thread.
+  (*server)->stop();
+  engine.reset();
+}
+
+TEST(ReactorReplicaServerTest, HonoursReplicaAckCoalesceMax) {
+  // ReplicaConfig::ack_coalesce_max governs the reactor front end too: at 1,
+  // a pipelined burst is still acked one plain kAck per apply, never as a
+  // kAckBatch — even with replies slowed to ~0.5 ms each, so completions
+  // from four apply workers pile up behind every ack send.
+  constexpr std::uint32_t kBs = 512;
+  constexpr std::uint64_t kBlocks = 64;
+  ReplicaConfig rconfig;
+  rconfig.apply_shards = 4;
+  rconfig.ack_coalesce_max = 1;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk, rconfig);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  ReactorReplicaServerOptions options;
+  options.wrap_transport = [](std::unique_ptr<Transport> conn) {
+    ShapingConfig slow;
+    slow.hops = 0;
+    slow.bandwidth_scale = 2.0;  // a T1 at twice its rate: ~0.5 ms per ack
+    return std::make_unique<ShapedTransport>(std::move(conn), slow);
+  };
+  auto server = ReactorReplicaServer::start(replica, *pool, options);
+  ASSERT_TRUE(server.is_ok());
+
+  auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(link.is_ok());
+  Rng rng(89);
+  Bytes block(kBs);
+  constexpr int kBurst = 400;
+  for (int i = 0; i < kBurst; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE((*link)
+                    ->send(sync_block_message(i % kBlocks, i + 1, kBs, block)
+                               .encode())
+                    .is_ok());
+  }
+  ASSERT_TRUE(collect_acks(**link, kBurst).is_ok());
+  (*link)->close();
+  EXPECT_EQ(replica->metrics().sync_blocks, static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(replica->metrics().ack_batches, 0u);
+  (*server)->stop();
+}
+
+// ---- front-end parity: serve() and ReactorReplicaServer -------------------
+
+// What a replica answered to the parity script, reduced to what does not
+// depend on timing: which sequences acks covered (however they were
+// batched), which NAKs came back, and the verify and client-read replies.
+struct ScriptReplies {
+  std::set<std::uint64_t> acked;
+  std::multiset<std::pair<std::uint64_t, int>> naks;  // (sequence, reason)
+  Bytes verify_reply;
+  Bytes read_reply;
+  bool done(std::size_t acks, std::size_t naks_expected) const {
+    return acked.size() >= acks && naks.size() >= naks_expected &&
+           !verify_reply.empty() && !read_reply.empty();
+  }
+};
+
+constexpr std::uint32_t kParityBs = 512;
+constexpr std::uint64_t kParityBlocks = 16;
+constexpr std::uint64_t kParityEpoch = 2;
+constexpr std::uint64_t kParityWrites = 24;
+
+// Drive one scripted frame stream through `link` and collect the replies:
+// parity deltas across every stripe, a redelivered sequence, a torn frame,
+// a stale-epoch write, a barrier and a verify mid-stream, and a client
+// read.  `model` ends as the contents the replica must hold.
+Result<ScriptReplies> run_parity_script(Transport& link,
+                                        std::vector<Bytes>& model) {
+  model.assign(kParityBlocks, Bytes(kParityBs, Byte{0}));
+  auto frame = [](MessageKind kind, std::uint64_t sequence, Lba lba,
+                  Bytes payload) {
+    ReplicationMessage msg;
+    msg.kind = kind;
+    msg.policy = ReplicationPolicy::kPrinsRle;
+    msg.cluster_epoch = kParityEpoch;
+    msg.block_size = kParityBs;
+    msg.lba = lba;
+    msg.sequence = sequence;
+    msg.timestamp_us = sequence;
+    msg.payload = std::move(payload);
+    return msg;
+  };
+  Rng rng(97);
+  std::map<std::uint64_t, Bytes> sent;  // sequence -> wire, for redelivery
+  for (std::uint64_t seq = 1; seq <= kParityWrites; ++seq) {
+    const Lba lba = (seq * 5) % kParityBlocks;
+    Bytes delta(kParityBs);
+    rng.fill(delta);
+    for (std::size_t b = 0; b < kParityBs; ++b) model[lba][b] ^= delta[b];
+    Bytes wire = frame(MessageKind::kWrite, seq, lba,
+                       encode_frame(codec_for(CodecId::kZeroRle), delta))
+                     .encode();
+    if (seq == 11) {  // torn copy first; the intact frame follows
+      Bytes torn = wire;
+      torn[torn.size() / 2] ^= 0x5A;
+      PRINS_RETURN_IF_ERROR(link.send(torn));
+    }
+    PRINS_RETURN_IF_ERROR(link.send(wire));
+    sent[seq] = std::move(wire);
+    if (seq == 8) PRINS_RETURN_IF_ERROR(link.send(sent[3]));  // duplicate
+    if (seq == 12) {  // a zombie primary one epoch behind
+      ReplicationMessage stale =
+          frame(MessageKind::kWrite, 100, 2,
+                encode_frame(codec_for(CodecId::kZeroRle), Bytes(kParityBs)));
+      stale.cluster_epoch = kParityEpoch - 1;
+      PRINS_RETURN_IF_ERROR(link.send(stale.encode()));
+    }
+    if (seq == 14) {
+      PRINS_RETURN_IF_ERROR(
+          link.send(frame(MessageKind::kBarrier, 101, 0, {}).encode()));
+    }
+    if (seq == 16) {  // every block checks out except a planted bad CRC
+      std::vector<BlockChecksum> sums;
+      for (Lba l = 0; l < kParityBlocks; ++l) {
+        sums.push_back(BlockChecksum{l, crc32c(model[l]) ^ (l == 0 ? 1u : 0u)});
+      }
+      PRINS_RETURN_IF_ERROR(link.send(
+          frame(MessageKind::kVerifyRequest, 102, 0, pack_checksums(sums))
+              .encode()));
+    }
+    if (seq == 20) {  // fresh only once write 20 (same LBA) has applied
+      Bytes min_sequence(8);
+      store_le64(min_sequence, 20);
+      PRINS_RETURN_IF_ERROR(link.send(
+          frame(MessageKind::kClientReadRequest, 103, lba, min_sequence)
+              .encode()));
+    }
+  }
+
+  ScriptReplies replies;
+  while (!replies.done(kParityWrites + 1, 2)) {
+    PRINS_ASSIGN_OR_RETURN(Bytes wire, link.recv_for(10s));
+    PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
+                           ReplicationMessage::decode(wire));
+    switch (reply.kind) {
+      case MessageKind::kAck:
+        replies.acked.insert(reply.sequence);
+        break;
+      case MessageKind::kAckBatch: {
+        PRINS_ASSIGN_OR_RETURN(std::vector<AckRange> ranges,
+                               unpack_ack_ranges(reply.payload));
+        for (const AckRange& range : ranges) {
+          for (std::uint32_t i = 0; i < range.count; ++i) {
+            replies.acked.insert(range.first_sequence + i);
+          }
+        }
+        break;
+      }
+      case MessageKind::kNak:
+        replies.naks.insert(
+            {reply.sequence, reply.payload.empty() ? -1 : reply.payload[0]});
+        break;
+      case MessageKind::kVerifyReply:
+        replies.verify_reply = reply.payload;
+        break;
+      case MessageKind::kClientReadReply:
+        replies.read_reply = reply.payload;
+        break;
+      default:
+        return failed_precondition("unexpected reply kind");
+    }
+  }
+  return replies;
+}
+
+std::shared_ptr<ReplicaEngine> parity_replica(
+    std::shared_ptr<MemDisk> disk) {
+  ReplicaConfig rconfig;
+  rconfig.apply_shards = 4;
+  rconfig.cluster_epoch = kParityEpoch;
+  return std::make_shared<ReplicaEngine>(std::move(disk), rconfig);
+}
+
+TEST(ReplicaFrontEndParityTest, ServeAndReactorServerAnswerAlike) {
+  // The two front ends of the replica pipeline — serve() pumping an in-proc
+  // transport, ReactorReplicaServer feeding from reactor handlers — must
+  // answer one frame stream identically: same covered sequences and NAKs,
+  // same replies, same device bytes, same counters.
+  auto serve_disk = std::make_shared<MemDisk>(kParityBlocks, kParityBs);
+  auto serve_replica = parity_replica(serve_disk);
+  std::vector<Bytes> model;
+  Result<ScriptReplies> by_serve = ScriptReplies{};
+  {
+    auto [client, server_end] = make_inproc_pair();
+    std::thread server([&, end = std::move(server_end)] {
+      EXPECT_TRUE(serve_replica->serve(*end).is_ok());
+    });
+    by_serve = run_parity_script(*client, model);
+    client->close();
+    server.join();
+  }
+  ASSERT_TRUE(by_serve.is_ok()) << by_serve.status().to_string();
+
+  auto reactor_disk = std::make_shared<MemDisk>(kParityBlocks, kParityBs);
+  auto reactor_replica = parity_replica(reactor_disk);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorReplicaServer::start(reactor_replica, *pool);
+  ASSERT_TRUE(server.is_ok());
+  auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(link.is_ok());
+  auto by_reactor = run_parity_script(**link, model);
+  ASSERT_TRUE(by_reactor.is_ok()) << by_reactor.status().to_string();
+  (*link)->close();
+
+  std::set<std::uint64_t> want_acked = {101};  // the barrier
+  for (std::uint64_t seq = 1; seq <= kParityWrites; ++seq) {
+    want_acked.insert(seq);
+  }
+  const std::multiset<std::pair<std::uint64_t, int>> want_naks = {
+      {0, -1},  // torn frame: header unreadable, plain resend
+      {100, static_cast<int>(NakReason::kStaleEpoch)}};
+  for (const ScriptReplies* r : {&*by_serve, &*by_reactor}) {
+    EXPECT_EQ(r->acked, want_acked);
+    EXPECT_EQ(r->naks, want_naks);
+  }
+  EXPECT_EQ(by_serve->verify_reply, pack_lbas({0}));
+  EXPECT_EQ(by_reactor->verify_reply, by_serve->verify_reply);
+  EXPECT_EQ(by_reactor->read_reply, by_serve->read_reply);
+  EXPECT_EQ(by_serve->read_reply, model[(20 * 5) % kParityBlocks]);
+
+  Bytes a(kParityBs), b(kParityBs);
+  for (Lba lba = 0; lba < kParityBlocks; ++lba) {
+    ASSERT_TRUE(serve_disk->read(lba, a).is_ok());
+    ASSERT_TRUE(reactor_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "front ends diverged at lba " << lba;
+    ASSERT_EQ(a, model[lba]) << "wrong contents at lba " << lba;
+  }
+  const ReplicaMetrics m1 = serve_replica->metrics();
+  const ReplicaMetrics m2 = reactor_replica->metrics();
+  EXPECT_EQ(m1.writes_applied, kParityWrites);
+  EXPECT_EQ(m1.duplicates_dropped, 1u);
+  EXPECT_EQ(m1.naks_sent, 2u);
+  EXPECT_EQ(m1.stale_epoch_naks, 1u);
+  EXPECT_EQ(m1.client_reads_served, 1u);
+  EXPECT_EQ(m2.writes_applied, m1.writes_applied);
+  EXPECT_EQ(m2.duplicates_dropped, m1.duplicates_dropped);
+  EXPECT_EQ(m2.naks_sent, m1.naks_sent);
+  EXPECT_EQ(m2.stale_epoch_naks, m1.stale_epoch_naks);
+  EXPECT_EQ(m2.client_reads_served, m1.client_reads_served);
+  (*server)->stop();
 }
 
 // ---- replica_serve_in_background (threaded path bugfixes) ------------------
