@@ -136,7 +136,10 @@ PrinsEngine::~PrinsEngine() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
     queue_cv_.notify_all();
-    cancel_gates_locked();
+    // Only wheel entries need cancelling.  A threaded link's deadline is its
+    // own driver's: stopping_ cuts its backoff short, and the round then
+    // ends within one op_timeout (round_retry_or_fail fails it once
+    // stopping), so the join below returns.
     for (auto& link : replicas_) {
       if (link->reactor_driven) cancel_link_timer_locked(link.get());
     }
@@ -190,24 +193,16 @@ Status PrinsEngine::reattach_replica(std::size_t index,
     }
     replica = replicas_[index].get();
   }
-  bool was_reactor = false;
   {
     // Take the link mutex so its sender is not mid-exchange on the old
-    // transport while we swap it.
+    // transport while we swap it.  An engine-initiated close must not fire
+    // the old transport's close handler into the round machine.
     std::lock_guard link_lock(replica->mutex);
-    {
-      std::lock_guard lock(mutex_);
-      was_reactor = replica->reactor_driven;
-    }
-    // An engine-initiated close must not fire the old transport's close
-    // handler into fail_round.
-    if (was_reactor) clear_link_handlers(*replica);
+    clear_link_handlers(*replica);
     replica->transport->close();
     replica->transport = std::move(link);
     replica->heal_failures = 0;
-  }
-  {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
     replica->failed = false;
     replica->unhealable = false;
     // Clear the sticky error only once *every* link is healthy again:
@@ -216,63 +211,39 @@ Status PrinsEngine::reattach_replica(std::size_t index,
     bool any_failed = false;
     for (const auto& r : replicas_) any_failed |= r->failed;
     if (!any_failed) worker_error_ = Status::ok();
+    // Wakes a threaded sender (or heal thread) waiting out a heal backoff,
+    // so the fresh link is picked up now, not at the old deadline.
     queue_cv_.notify_all();
-    // Reactor mode: the sender may be sleeping out a heal backoff on a
-    // gate; cancel it so the fresh link is picked up now, not at the old
-    // deadline.
-    cancel_gates_locked();
-  }
-  if (!was_reactor) return Status::ok();
-
-  // Re-arm the reactor sender on the fresh transport.
-  std::lock_guard link_lock(replica->mutex);
-  std::unique_lock lock(mutex_);
-  if (replica->phase == ReplicaLink::Phase::kHealing ||
-      replica->phase == ReplicaLink::Phase::kExclusive) {
-    // kHealing: the heal thread owns the link; the gate cancel above woke
-    // it, it will observe failed == false and rejoin the reactor path
-    // itself (installing handlers on this fresh transport).  kExclusive:
-    // an operator exchange owns the link; end_link_exclusive reinstalls.
-    return Status::ok();
-  }
-  cancel_link_timer_locked(replica);
-  lock.unlock();
-  if (!install_reactor_link(replica)) {
-    // The fresh transport is not reactor-capable: revert this link to a
-    // threaded sender.  Un-acked round entries go back to the outbox
-    // front — sender_main resumes from there, it does not adopt rounds.
-    lock.lock();
-    replica->reactor_driven = false;
-    replica->phase = ReplicaLink::Phase::kIdle;
-    replica->in_flight -= replica->round.size();
-    for (std::size_t i = replica->round.size(); i-- > 0;) {
-      if (replica->round_acked[i]) continue;  // settled at ack time
-      replica->outbox.push_front(std::move(replica->round[i]));
-      --replica->first_slot;
+    // A threaded link's sender owns its rounds.  kHealing: the heal thread
+    // observes failed == false and rejoins the reactor path itself.
+    // kExclusive: end_link_exclusive reinstalls the handlers.
+    if (!replica->reactor_driven ||
+        replica->phase == ReplicaLink::Phase::kHealing ||
+        replica->phase == ReplicaLink::Phase::kExclusive) {
+      return Status::ok();
     }
-    replica->round.clear();
-    replica->round_acked.clear();
-    replica->round_attempt = 0;
-    replica->round_sent = 0;
-    replica->round_covered = 0;
-    replica->round_progress = false;
-    queue_cv_.notify_all();
+    cancel_link_timer_locked(replica);
     lock.unlock();
-    if (replica->sender.joinable()) replica->sender.join();
-    replica->sender = std::thread([this, replica] { sender_main(replica); });
-    return Status::ok();
+    const bool reactor = install_reactor_link(replica);
+    lock.lock();
+    // A fresh transport that is not reactor-capable hands the link to the
+    // threaded driver, which resumes any open round where it stands.
+    replica->reactor_driven = reactor;
+    if (!replica->round.empty()) {
+      // A round was mid-flight when the old transport died: retransmit its
+      // un-acked entries on the fresh one (replica dedup absorbs overlap)
+      // through either driver's backoff path, at once.
+      replica->phase = ReplicaLink::Phase::kBackoff;
+      arm_link_timer_locked(replica, std::chrono::steady_clock::now());
+    } else {
+      replica->phase = ReplicaLink::Phase::kIdle;
+      schedule_pump_locked(replica);
+    }
+    if (reactor) return Status::ok();
   }
-  lock.lock();
-  if (!replica->round.empty()) {
-    // A round was mid-flight when the old transport died: retransmit its
-    // un-acked entries on the fresh one (replica dedup absorbs overlap).
-    // An immediate wheel timer reuses the kBackoff resend path.
-    replica->phase = ReplicaLink::Phase::kBackoff;
-    arm_link_timer_locked(replica, std::chrono::steady_clock::now());
-  } else {
-    replica->phase = ReplicaLink::Phase::kIdle;
-    schedule_pump_locked(replica);
-  }
+  // Join a finished heal thread outside the locks, then start the sender.
+  if (replica->sender.joinable()) replica->sender.join();
+  replica->sender = std::thread([this, replica] { sender_main(replica); });
   return Status::ok();
 }
 
@@ -725,105 +696,538 @@ void PrinsEngine::advance_journal_watermark(std::uint64_t sequence) {
   journal_marked_ = sequence;
 }
 
+// ---- Replica senders: one round machine, two drivers -----------------------
+//
+// A link runs one round at a time.  pump_link_locked() pops up to
+// pipeline_depth outbox entries into link->round and transmit_round_locked()
+// sends the un-acked ones; on_link_replies_locked() settles replies;
+// on_link_timer_locked() handles the link's single deadline (op_timeout
+// while replies are due, the retry backoff after a short attempt);
+// on_link_lost_locked() handles a failed connection.  round_retry_or_fail()
+// counts attempts and fail_round() decides between a degraded self-heal and
+// a sticky failure.  Every handler runs with the link mutex held.
+//
+// Two drivers feed these handlers.  The threaded driver (sender_main) loops
+// over any Transport: wait for work, pump, then recv_for() the deadline and
+// hand the reply (with any others already waiting), timeout or error to the
+// matching handler.  It holds the link mutex for the whole round and waits
+// out backoffs on queue_cv_.  The reactor driver (reactor_senders,
+// ReactorTcpTransport links) posts pumps onto the reactor and receives
+// replies, closes and deadlines as message-handler, close-handler and
+// wheel-timer callbacks.  Lock order everywhere: sender guard (reactor
+// callbacks only), link mutex, engine mutex_.
+
+namespace {
+
+// The reason byte of a kNak (absent means kResend).
+NakReason nak_reason(ByteSpan nak_payload) {
+  return nak_payload.empty() ? NakReason::kResend
+                             : static_cast<NakReason>(nak_payload[0]);
+}
+
+// The ACK of an exchange's write: a kAck, or a kAckBatch when a duplicated
+// delivery of the same frame completed alongside it (the batch is stamped
+// with its newest sequence, which is then the exchange's own).
+bool is_ack(const ReplicationMessage& reply) {
+  return reply.kind == MessageKind::kAck ||
+         reply.kind == MessageKind::kAckBatch;
+}
+
+}  // namespace
+
+template <typename Handler>
+void PrinsEngine::on_link_event(const std::shared_ptr<SenderGuard>& guard,
+                                ReplicaLink* link, Handler&& handler) {
+  std::lock_guard g(guard->m);
+  // Guard first: `link` is only safe to touch while the engine lives.
+  if (guard->engine == nullptr) return;
+  // Lock-free pre-check: never block a loop thread on the link mutex
+  // behind a multi-second heal exchange.
+  if (link->healing.load(std::memory_order_relaxed)) return;
+  std::lock_guard link_lock(link->mutex);
+  handler(*guard->engine);
+}
+
 void PrinsEngine::sender_main(ReplicaLink* link) {
-  const std::size_t window = std::max<std::size_t>(1, config_.pipeline_depth);
-  std::vector<OutMessage> batch;
-  std::vector<bool> acked;
   for (;;) {
-    batch.clear();
-    bool already_failed = false;
     {
       std::unique_lock lock(mutex_);
+      queue_cv_.wait(lock, [this, link] {
+        return stopping_.load(std::memory_order_relaxed) ||
+               healable_locked(*link) || !link->outbox.empty() ||
+               link->phase != ReplicaLink::Phase::kIdle;
+      });
       if (healable_locked(*link)) {
         // Degraded state: hold queued traffic (producers back-pressure on
         // capacity) and retry the heal on its backoff schedule.
-        if (config_.reactor != nullptr) {
-          const auto next_heal = link->next_heal;
-          lock.unlock();
-          reactor_wait_until(next_heal);
-          lock.lock();
-        } else {
-          queue_cv_.wait_until(lock, link->next_heal,
-                               [this] { return stopping_.load(std::memory_order_relaxed); });
-        }
-        if (stopping_) return;
-        if (!healable_locked(*link)) continue;  // reattached meanwhile
-        if (std::chrono::steady_clock::now() < link->next_heal) continue;
         lock.unlock();
-        attempt_heal(link);
+        if (!heal_when_due(link)) return;
         continue;
       }
-      queue_cv_.wait(lock, [this, link] {
-        return stopping_.load(std::memory_order_relaxed) || healable_locked(*link) || !link->outbox.empty();
-      });
-      if (healable_locked(*link)) continue;
-      if (link->outbox.empty()) return;  // stopping with nothing left
-      while (!link->outbox.empty() && batch.size() < window) {
-        // A popped entry can no longer absorb folds.
-        const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
-        if (it != link->fold_slots.end() && it->second == link->first_slot) {
-          link->fold_slots.erase(it);
-        }
-        batch.push_back(std::move(link->outbox.front()));
-        link->outbox.pop_front();
-        ++link->first_slot;
+      // Stopping with nothing left (queued traffic is still delivered).
+      if (link->outbox.empty() && link->phase == ReplicaLink::Phase::kIdle) {
+        return;
       }
-      link->in_flight += batch.size();
-      already_failed = link->failed;
-      queue_cv_.notify_all();  // wake producers blocked on capacity
     }
-
-    Status result = Status::ok();
-    if (already_failed) {
-      // Sticky, non-healable failure: drop the batch so producers and
-      // drain() never block behind a dead link.
-      result = unavailable("replica link is down");
-      acked.assign(batch.size(), false);
-    } else {
-      std::lock_guard link_lock(link->mutex);
-      result = exchange_batch_locked(*link, batch, acked);
-    }
-
-    std::uint64_t watermark = 0;
-    {
-      std::lock_guard lock(mutex_);
-      link->in_flight -= batch.size();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        complete_locked(batch[i], acked[i]);
-      }
-      if (!result.is_ok()) {
-        link->failed = true;
-        link->next_heal = std::chrono::steady_clock::now();
-        // A heal's trap-log fold can re-deliver kWrite traffic, so a
-        // healable link failing on pure write batches is *degraded*, not
-        // broken: keep accepting writes and let the heal catch up.  Any
-        // other kind in the batch has no second delivery path — that
-        // failure must stick.
-        bool fold_covers_batch = true;
-        for (const OutMessage& item : batch) {
-          fold_covers_batch &= item.meta.kind == MessageKind::kWrite;
-        }
-        const bool degraded = fold_covers_batch && healable_locked(*link);
-        if (degraded) {
-          PRINS_LOG(kWarn) << "replica " << link->index
-                           << " degraded; self-heal scheduled: "
-                           << result.to_string();
-        } else if (worker_error_.is_ok() && !already_failed) {
-          worker_error_ = result;
-          PRINS_LOG(kError) << "replication failed: " << result.to_string();
-        }
-      }
-      watermark = ack_watermark_locked();
-      if (idle_locked()) drain_cv_.notify_all();
-    }
-    advance_journal_watermark(watermark);
+    std::lock_guard link_lock(link->mutex);
+    pump_link_locked(link);
+    drive_round_locked(link);
   }
 }
 
-Result<Bytes> PrinsEngine::recv_reply_locked(ReplicaLink& link) {
-  return config_.retry.op_timeout.count() > 0
-             ? link.transport->recv_for(config_.retry.op_timeout)
-             : link.transport->recv();
+void PrinsEngine::drive_round_locked(ReplicaLink* link) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<Bytes> replies;
+  std::vector<Result<MessageView>> views;
+  for (;;) {
+    ReplicaLink::Phase phase;
+    bool armed = false;
+    Clock::time_point deadline;
+    {
+      std::unique_lock lock(mutex_);
+      phase = link->phase;
+      armed = link->timer_armed;
+      deadline = link->deadline;
+      if (phase == ReplicaLink::Phase::kBackoff) {
+        queue_cv_.wait_until(lock, deadline, [this] {
+          return stopping_.load(std::memory_order_relaxed);
+        });
+      }
+    }
+    if (phase == ReplicaLink::Phase::kBackoff) {
+      on_link_timer_locked(link);
+      continue;
+    }
+    if (phase != ReplicaLink::Phase::kAwaitingAcks) return;  // settled
+    const auto recv_reply = [&] {
+      return armed ? link->transport->recv_for(
+                         std::chrono::ceil<std::chrono::milliseconds>(
+                             std::max(deadline - Clock::now(),
+                                      Clock::duration::zero())))
+                   : link->transport->recv();
+    };
+    Result<Bytes> reply = recv_reply();
+    if (!reply.is_ok()) {
+      if (reply.status().code() != ErrorCode::kTimeout) {
+        on_link_lost_locked(link, reply.status());
+      } else if (Clock::now() >= deadline) {
+        on_link_timer_locked(link);
+      }
+      continue;
+    }
+    // Gather the attempt's plain ACKs before settling them in one pass: the
+    // handler takes mutex_, which every write contends for, so one settle
+    // per ACK would slow the write path.  Any other reply (NAK, batch ACK,
+    // torn frame) is settled at once.  A recv error ends the gathering; it
+    // recurs at the loop top (a passed deadline, a dead connection).
+    std::ptrdiff_t due = std::count(link->round_answered.begin(),
+                                    link->round_answered.end(), false);
+    replies.clear();
+    views.clear();
+    replies.reserve(static_cast<std::size_t>(std::max<std::ptrdiff_t>(1, due)));
+    for (;;) {
+      replies.push_back(std::move(*reply));  // reserved: views stay valid
+      views.push_back(ReplicationMessage::decode_view(replies.back()));
+      const bool plain_ack =
+          views.back().is_ok() && views.back()->kind == MessageKind::kAck;
+      if (!plain_ack || --due <= 0) break;
+      reply = recv_reply();
+      if (!reply.is_ok()) break;
+    }
+    on_link_replies_locked(link, views);
+  }
+}
+
+PrinsEngine::OutMessage PrinsEngine::pop_outbox_locked(ReplicaLink* link) {
+  // A popped entry can no longer absorb folds.
+  const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
+  if (it != link->fold_slots.end() && it->second == link->first_slot) {
+    link->fold_slots.erase(it);
+  }
+  OutMessage item = std::move(link->outbox.front());
+  link->outbox.pop_front();
+  ++link->first_slot;
+  return item;
+}
+
+void PrinsEngine::pump_link_locked(ReplicaLink* link) {
+  {
+    std::unique_lock lock(mutex_);
+    link->pump_scheduled = false;
+    if (link->failed) {
+      // A degraded link holds its queue for the heal's fold.  A sticky-dead
+      // one drops it, so producers and drain() never block behind it.
+      if (healable_locked(*link) || link->outbox.empty()) return;
+      while (!link->outbox.empty()) {
+        complete_locked(pop_outbox_locked(link), /*acked=*/false);
+      }
+      const std::uint64_t watermark = ack_watermark_locked();
+      queue_cv_.notify_all();
+      if (idle_locked()) drain_cv_.notify_all();
+      lock.unlock();
+      advance_journal_watermark(watermark);
+      return;
+    }
+    if (link->phase != ReplicaLink::Phase::kIdle || link->outbox.empty()) {
+      return;
+    }
+    const std::size_t window =
+        std::max<std::size_t>(1, config_.pipeline_depth);
+    while (!link->outbox.empty() && link->round.size() < window) {
+      link->round.push_back(pop_outbox_locked(link));
+    }
+    link->round_acked.assign(link->round.size(), false);
+    link->round_attempt = 0;
+    link->in_flight += link->round.size();
+    queue_cv_.notify_all();  // wake producers blocked on outbox capacity
+    transmit_round_locked(link, lock);
+  }
+}
+
+void PrinsEngine::transmit_round_locked(ReplicaLink* link,
+                                        std::unique_lock<std::mutex>& lock) {
+  link->phase = ReplicaLink::Phase::kAwaitingAcks;
+  link->round_answered = link->round_acked;
+  link->round_sent = static_cast<std::size_t>(
+      std::count(link->round_acked.begin(), link->round_acked.end(), false));
+  link->round_covered = 0;
+  link->round_progress = false;
+  // The attempt's deadline runs from before its sends.  A reactor timer
+  // firing mid-send waits on the link mutex like any other event.
+  if (config_.retry.op_timeout.count() > 0) {
+    arm_link_timer_locked(
+        link, std::chrono::steady_clock::now() + config_.retry.op_timeout);
+  }
+  lock.unlock();
+  // Stream every un-acked entry, oldest first.  The replica applies in
+  // arrival order; parity deltas XOR-commute, so retransmission order
+  // cannot change the converged state.  On a loop thread the transport's
+  // enqueue never blocks on flow control, so a stuck replica cannot stall
+  // the reactor here.
+  for (std::size_t i = 0; i < link->round.size(); ++i) {
+    if (link->round_acked[i]) continue;
+    const Status status = send_entry_locked(*link, link->round[i]);
+    if (!status.is_ok()) {
+      on_link_lost_locked(link, status);
+      return;
+    }
+  }
+}
+
+void PrinsEngine::on_link_replies_locked(
+    ReplicaLink* link, std::span<const Result<MessageView>> replies) {
+  std::unique_lock lock(mutex_);
+  if (link->round.empty()) return;  // stale replies between rounds
+  if (link->phase != ReplicaLink::Phase::kAwaitingAcks &&
+      link->phase != ReplicaLink::Phase::kBackoff) {
+    return;
+  }
+  // A reply counts toward the attempt only when it is the first answer to
+  // an entry sent in this attempt: the second ACK of a duplicated delivery,
+  // or an ACK left over from an earlier round, must not end the attempt
+  // early.  A reply landing during a backoff still settles its entry but
+  // counts for nothing; the retransmit starts a fresh count.
+  const bool counting = link->phase == ReplicaLink::Phase::kAwaitingAcks;
+  const std::size_t none = link->round.size();
+  const auto find = [&](std::uint64_t sequence) {
+    for (std::size_t i = 0; i < link->round.size(); ++i) {
+      if (link->round[i].meta.sequence == sequence) return i;
+    }
+    return none;
+  };
+  const auto answer = [&](std::size_t i, bool acked) {
+    if (counting && !link->round_answered[i]) {
+      link->round_answered[i] = true;
+      ++link->round_covered;
+    }
+    if (!acked || link->round_acked[i]) return;
+    link->round_acked[i] = true;
+    link->round_progress = true;
+    complete_locked(link->round[i], /*acked=*/true);
+    const std::uint64_t ts = link->round[i].meta.timestamp_us;
+    if (ts > link->acked_timestamp.load(std::memory_order_relaxed)) {
+      link->acked_timestamp.store(ts, std::memory_order_relaxed);
+    }
+  };
+
+  for (const Result<MessageView>& ack : replies) {
+    std::size_t convert = none;
+    if (!ack.is_ok()) {
+      // Torn reply: it answers something this attempt sent, so it counts —
+      // otherwise op_timeout = 0 would wait forever.  The retransmit
+      // covers it.
+      if (counting) ++link->round_covered;
+    } else if (ack->kind == MessageKind::kAckBatch) {
+      auto ranges = unpack_ack_ranges(ack->payload);
+      if (!ranges.is_ok()) {
+        if (counting) ++link->round_covered;  // damaged; dedup re-acks
+      } else {
+        // Ranges enumerate every covered sequence, so this is exact too.
+        for (std::size_t i = 0; i < link->round.size(); ++i) {
+          const std::uint64_t sequence = link->round[i].meta.sequence;
+          const auto covers = [&](const AckRange& r) {
+            return r.covers(sequence);
+          };
+          if (std::any_of(ranges->begin(), ranges->end(), covers)) {
+            answer(i, true);
+          }
+        }
+      }
+    } else if (ack->kind == MessageKind::kAck) {
+      // Exact-match marking: with loss in play, a cumulative reading of
+      // acks could bury an undelivered write under a later one.
+      if (const std::size_t i = find(ack->sequence); i != none) {
+        answer(i, true);
+      }
+    } else if (ack->kind == MessageKind::kNak) {
+      if (nak_reason(ack->payload) == NakReason::kStaleEpoch) {
+        // A newer primary was promoted while this engine was away: it is
+        // fenced.  Retrying or healing would splice a dead history into
+        // the cluster, so fail sticky.
+        lock.unlock();
+        fail_round(link, fenced_by_replica(*link, ack->cluster_epoch));
+        return;
+      }
+      if (const std::size_t i = find(ack->sequence); i != none) {
+        answer(i, false);
+        // A plain NAK asks for the resend that follows anyway.
+        // kNeedFullBlock says the replica's stored block is damaged and a
+        // parity delta can *never* apply — swap the entry for a full-block
+        // repair.
+        if (nak_reason(ack->payload) == NakReason::kNeedFullBlock &&
+            !link->round_acked[i]) {
+          convert = i;
+        }
+      } else if (ack->sequence == 0 && counting) {
+        ++link->round_covered;  // the replica could not read the torn frame
+      }
+    } else if (find(ack->sequence) != none) {
+      lock.unlock();
+      fail_round(link, failed_precondition("replica sent non-ACK reply"));
+      return;
+    }
+    // Anything else is stale: a late answer to an earlier exchange.
+
+    if (convert != none) {
+      // convert_to_repair_locked takes mutex_ (metrics) and a stripe lock
+      // itself; call it with only the link mutex held.
+      lock.unlock();
+      convert_to_repair_locked(link->round[convert]);
+      lock.lock();
+    }
+  }
+
+  if (std::all_of(link->round_acked.begin(), link->round_acked.end(),
+                  [](bool a) { return a; })) {
+    finish_round(link, lock);
+    return;
+  }
+  if (counting && link->round_covered >= link->round_sent) {
+    // Every reply for this attempt arrived, entries still open: drops or
+    // NAKs upstream — retransmit after the backoff.
+    round_retry_or_fail(link, lock,
+                        timeout_error("replica replies incomplete; "
+                                      "retransmitting"));
+    return;
+  }
+  // Partial progress: settled entries may already move the watermark.
+  const std::uint64_t watermark = ack_watermark_locked();
+  lock.unlock();
+  advance_journal_watermark(watermark);
+}
+
+void PrinsEngine::on_link_lost_locked(ReplicaLink* link, const Status& why) {
+  const ErrorCode code = why.code();
+  const bool connection_loss =
+      code == ErrorCode::kUnavailable || code == ErrorCode::kIoError;
+  std::unique_lock lock(mutex_);
+  if (link->failed || link->phase == ReplicaLink::Phase::kExclusive) return;
+  // The drivers' one deliberate difference.  A sender thread may block in
+  // connect(), so it retries in-round and rebuilds a lost connection
+  // through the factory.  A loop thread must not: a reactor-driven link
+  // fails the round and lets the self-heal reconnect.  A protocol breach,
+  // or a lost connection with no factory, is never retried.
+  const bool retry_in_round = !link->reactor_driven &&
+                              code != ErrorCode::kFailedPrecondition &&
+                              (!connection_loss || config_.reconnect);
+  if (!retry_in_round) {
+    lock.unlock();
+    fail_round(link, why);
+    return;
+  }
+  if (round_retry_or_fail(link, lock, why) && connection_loss) {
+    // A factory failure just backs off and tries the whole round again.
+    (void)reconnect_locked(link);
+  }
+}
+
+Status PrinsEngine::reconnect_locked(ReplicaLink* link) {
+  PRINS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh,
+                         config_.reconnect(link->index));
+  link->transport->close();
+  link->transport = std::move(fresh);
+  std::lock_guard lock(mutex_);
+  metrics_.reconnects += 1;
+  return Status::ok();
+}
+
+void PrinsEngine::on_link_timer_locked(ReplicaLink* link) {
+  std::unique_lock lock(mutex_);
+  if (!link->timer_armed) return;
+  link->timer_armed = false;
+  switch (link->phase) {
+    case ReplicaLink::Phase::kAwaitingAcks:
+      round_retry_or_fail(link, lock, timeout_error("replica reply timed out"));
+      return;
+    case ReplicaLink::Phase::kBackoff:
+      transmit_round_locked(link, lock);
+      return;
+    default:
+      return;
+  }
+}
+
+bool PrinsEngine::round_retry_or_fail(ReplicaLink* link,
+                                      std::unique_lock<std::mutex>& lock,
+                                      const Status& why) {
+  if (!ships_parity(config_.policy)) {
+    // Whole-block payloads only tolerate in-order redelivery (deltas
+    // commute, full blocks do not): an un-acked entry behind an acked
+    // *same-LBA* successor would reorder that block's writes when it is
+    // retransmitted.  Cross-LBA gaps are fine — the replica stripes its
+    // apply workers by LBA, so unrelated blocks ack out of order by design.
+    for (std::size_t i = 0; i < link->round.size(); ++i) {
+      if (link->round_acked[i]) continue;
+      for (std::size_t j = i + 1; j < link->round.size(); ++j) {
+        if (link->round_acked[j] &&
+            link->round[j].meta.lba == link->round[i].meta.lba) {
+          lock.unlock();
+          fail_round(link, failed_precondition(
+                               "out-of-order ack under a full-block policy"));
+          return false;
+        }
+      }
+    }
+  }
+  link->round_attempt = link->round_progress ? 1 : link->round_attempt + 1;
+  link->round_progress = false;
+  if (link->round_attempt > config_.retry.max_attempts ||
+      stopping_.load(std::memory_order_relaxed)) {
+    lock.unlock();
+    fail_round(link, why);
+    return false;
+  }
+  metrics_.retries += 1;
+  link->phase = ReplicaLink::Phase::kBackoff;
+  cancel_link_timer_locked(link);  // an op_timeout may still be ticking
+  arm_link_timer_locked(link, std::chrono::steady_clock::now() +
+                                  retry_delay(*link, link->round_attempt));
+  lock.unlock();
+  return true;
+}
+
+void PrinsEngine::finish_round(ReplicaLink* link,
+                               std::unique_lock<std::mutex>& lock) {
+  link->in_flight -= link->round.size();
+  link->round.clear();
+  link->round_acked.clear();
+  link->round_attempt = 0;
+  cancel_link_timer_locked(link);
+  link->phase = ReplicaLink::Phase::kIdle;
+  const std::uint64_t watermark = ack_watermark_locked();
+  queue_cv_.notify_all();  // begin_link_exclusive may be parked on the phase
+  if (idle_locked()) drain_cv_.notify_all();
+  schedule_pump_locked(link);
+  lock.unlock();
+  advance_journal_watermark(watermark);
+}
+
+void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
+  bool spawn_heal = false;
+  std::uint64_t watermark = 0;
+  {
+    std::lock_guard lock(mutex_);
+    if (link->failed) return;  // a close and a timeout can race; first wins
+    cancel_link_timer_locked(link);
+    link->in_flight -= link->round.size();
+    // A heal's trap-log fold can re-deliver kWrite traffic, so an all-write
+    // round failing on a healable link is *degraded*, not broken: keep
+    // accepting writes and let the heal catch up.  Any other kind has no
+    // second delivery path — that failure must stick.
+    bool fold_covers_round = true;
+    for (std::size_t i = 0; i < link->round.size(); ++i) {
+      fold_covers_round &= link->round[i].meta.kind == MessageKind::kWrite;
+      // Entries acked before the failure were settled at ack time.
+      if (!link->round_acked[i]) {
+        complete_locked(link->round[i], /*acked=*/false);
+      }
+    }
+    link->round.clear();
+    link->round_acked.clear();
+    link->round_attempt = 0;
+    link->failed = true;
+    link->next_heal = std::chrono::steady_clock::now();
+    link->phase = ReplicaLink::Phase::kIdle;
+    if (fold_covers_round && healable_locked(*link)) {
+      PRINS_LOG(kWarn) << "replica " << link->index
+                       << " degraded; self-heal scheduled: "
+                       << why.to_string();
+      // A threaded link's own sender heals it; a reactor-driven link gets
+      // a transient heal thread.
+      if (link->reactor_driven && !stopping_.load(std::memory_order_relaxed)) {
+        link->phase = ReplicaLink::Phase::kHealing;
+        link->healing.store(true, std::memory_order_relaxed);
+        spawn_heal = true;
+      }
+    } else {
+      if (worker_error_.is_ok()) {
+        worker_error_ = why;
+        PRINS_LOG(kError) << "replication failed: " << why.to_string();
+      }
+      // Queued traffic behind a sticky-dead link must still drain.
+      schedule_pump_locked(link);
+    }
+    watermark = ack_watermark_locked();
+    queue_cv_.notify_all();
+    if (idle_locked()) drain_cv_.notify_all();
+  }
+  // The dying transport's callbacks must go quiet: the heal will close
+  // and replace it, and a sticky-dead link's late frames mean nothing.
+  clear_link_handlers(*link);
+  advance_journal_watermark(watermark);
+  if (spawn_heal) {
+    // The previous heal episode's thread (if any) exited before this
+    // link could fail again, so the join is immediate.
+    if (link->sender.joinable()) link->sender.join();
+    link->sender = std::thread([this, link] { heal_main(link); });
+  }
+}
+
+void PrinsEngine::arm_link_timer_locked(
+    ReplicaLink* link, std::chrono::steady_clock::time_point deadline) {
+  const std::uint64_t epoch =
+      link->timer_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+  link->deadline = deadline;
+  link->timer_armed = true;
+  if (!link->reactor_driven) return;  // the threaded driver waits for it
+  link->timer = config_.reactor->add_timer_at(
+      deadline, [guard = sender_guard_, link, epoch] {
+        // The epoch check retires a callback the wheel already dequeued
+        // and that cancel_timer can no longer reach.
+        on_link_event(guard, link, [&](PrinsEngine& engine) {
+          if (link->timer_epoch.load(std::memory_order_relaxed) != epoch) {
+            return;
+          }
+          engine.on_link_timer_locked(link);
+        });
+      });
+}
+
+void PrinsEngine::cancel_link_timer_locked(ReplicaLink* link) {
+  link->timer_epoch.fetch_add(1, std::memory_order_relaxed);
+  if (!link->timer_armed) return;
+  link->timer_armed = false;
+  if (link->reactor_driven) config_.reactor->cancel_timer(link->timer);
 }
 
 std::chrono::steady_clock::duration PrinsEngine::retry_delay(
@@ -839,205 +1243,6 @@ std::chrono::steady_clock::duration PrinsEngine::retry_delay(
   if (ms <= 0.0) ms = 0.0;
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
-}
-
-void PrinsEngine::retry_backoff(ReplicaLink& link, std::size_t attempt) {
-  const auto delay = retry_delay(link, attempt);
-  if (delay.count() <= 0) return;
-  const auto deadline = std::chrono::steady_clock::now() + delay;
-  if (config_.reactor != nullptr) {
-    reactor_wait_until(deadline);
-    return;
-  }
-  std::unique_lock lock(mutex_);
-  queue_cv_.wait_until(lock, deadline,
-                       [this] { return stopping_.load(std::memory_order_relaxed); });
-}
-
-void PrinsEngine::cancel_gates_locked() {
-  for (const auto& gate : gates_) {
-    std::lock_guard g(gate->m);
-    gate->cancelled = true;
-    gate->cv.notify_all();
-  }
-}
-
-void PrinsEngine::reactor_wait_until(
-    std::chrono::steady_clock::time_point deadline) {
-  auto gate = std::make_shared<TimerGate>();
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    gates_.push_back(gate);
-  }
-  // Capture only the gate: if this engine dies while the entry is still on
-  // the wheel, the callback fires against an orphaned gate and nothing else.
-  const TimerId id = config_.reactor->add_timer_at(deadline, [gate] {
-    std::lock_guard g(gate->m);
-    gate->fired = true;
-    gate->cv.notify_all();
-  });
-  bool fired;
-  {
-    std::unique_lock g(gate->m);
-    gate->cv.wait(g, [&] { return gate->fired || gate->cancelled; });
-    fired = gate->fired;
-  }
-  if (!fired) config_.reactor->cancel_timer(id);
-  std::lock_guard lock(mutex_);
-  gates_.erase(std::find(gates_.begin(), gates_.end(), gate));
-}
-
-Status PrinsEngine::exchange_batch_locked(ReplicaLink& link,
-                                          std::vector<OutMessage>& batch,
-                                          std::vector<bool>& acked) {
-  acked.assign(batch.size(), false);
-  const auto all_acked = [&] {
-    return std::all_of(acked.begin(), acked.end(), [](bool a) { return a; });
-  };
-  const bool parity = ships_parity(config_.policy);
-  std::size_t attempt = 0;
-  for (;;) {
-    // Stream every un-acked entry, oldest first, then collect replies.
-    // The replica applies in arrival order; parity deltas XOR-commute, so
-    // retransmission order cannot change the converged state.
-    std::size_t sent = 0;
-    Status result = Status::ok();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (acked[i]) continue;
-      result = send_entry_locked(link, batch[i]);
-      if (!result.is_ok()) break;
-      ++sent;
-    }
-    std::size_t newly_acked = 0;
-    const auto mark_acked = [&](std::size_t i) {
-      acked[i] = true;
-      ++newly_acked;
-      const std::uint64_t ts = batch[i].meta.timestamp_us;
-      if (ts > link.acked_timestamp.load(std::memory_order_relaxed)) {
-        link.acked_timestamp.store(ts, std::memory_order_relaxed);
-      }
-    };
-    // Each sent frame produces exactly one completion at the replica, but
-    // a kAckBatch folds many completions into one frame: count *covered*
-    // completions, not reply frames, to know when the round is answered.
-    std::size_t covered = 0;
-    while (result.is_ok() && covered < sent && !all_acked()) {
-      auto reply = recv_reply_locked(link);
-      if (!reply.is_ok()) {
-        result = reply.status();
-        break;
-      }
-      auto ack = ReplicationMessage::decode(*reply);
-      if (!ack.is_ok()) {
-        ++covered;
-        continue;  // torn reply; the retransmit covers it
-      }
-      if (ack->kind == MessageKind::kAckBatch) {
-        auto ranges = unpack_ack_ranges(ack->payload);
-        if (!ranges.is_ok()) {
-          ++covered;
-          continue;  // damaged in flight; retransmit re-acks via dedup
-        }
-        for (const AckRange& range : *ranges) {
-          covered += range.count;
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!acked[i] && range.covers(batch[i].meta.sequence)) {
-              mark_acked(i);
-            }
-          }
-        }
-        continue;
-      }
-      ++covered;
-      if (ack->kind == MessageKind::kNak) {
-        // A kStaleEpoch NAK means a newer primary was promoted while this
-        // engine was partitioned: it is fenced.  Retrying or healing would
-        // splice a dead history into the cluster, so fail sticky.
-        if (!ack->payload.empty() &&
-            ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-          return fenced_by_replica(link, ack->cluster_epoch);
-        }
-        // A plain NAK asks for a resend (torn frame); a kNeedFullBlock NAK
-        // says the replica's stored block is damaged and a parity delta
-        // can *never* apply — swap the entry for a full-block repair.
-        if (!ack->payload.empty() &&
-            ack->payload[0] == static_cast<Byte>(NakReason::kNeedFullBlock)) {
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!acked[i] && batch[i].meta.sequence == ack->sequence) {
-              convert_to_repair_locked(batch[i]);
-              break;
-            }
-          }
-        }
-        continue;
-      }
-      if (ack->kind != MessageKind::kAck) {
-        return failed_precondition("replica sent non-ACK reply");
-      }
-      // Exact-match marking: with loss in play, a cumulative reading of
-      // acks could bury an undelivered write under a later one.  (kAckBatch
-      // ranges enumerate every covered sequence, so they are exact too.)
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!acked[i] && batch[i].meta.sequence == ack->sequence) {
-          mark_acked(i);
-          break;
-        }
-      }
-      // Unmatched sequences are stale acks from a duplicated delivery or
-      // an earlier timed-out round; ignore them.
-    }
-    if (all_acked()) return Status::ok();
-
-    // Classify what went wrong.
-    const ErrorCode code = result.code();
-    const bool connection_loss =
-        code == ErrorCode::kUnavailable || code == ErrorCode::kIoError;
-    if (result.is_ok()) {
-      // Every reply collected, entries still open: drops or NAKs upstream.
-      result = timeout_error("replica replies incomplete; retransmitting");
-    } else if (code == ErrorCode::kFailedPrecondition) {
-      return result;  // protocol breach: not retryable
-    } else if (connection_loss && config_.reconnect == nullptr) {
-      return result;  // the historical sticky-failure path
-    }
-    if (!parity) {
-      // Whole-block payloads only tolerate in-order redelivery (deltas
-      // commute, full blocks do not): an un-acked entry behind an acked
-      // *same-LBA* successor would reorder that block's writes when it is
-      // retransmitted.  Cross-LBA gaps are fine — the replica stripes its
-      // apply workers by LBA, so unrelated blocks ack out of order by
-      // design.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (acked[i]) continue;
-        for (std::size_t j = i + 1; j < batch.size(); ++j) {
-          if (acked[j] && batch[j].meta.lba == batch[i].meta.lba) {
-            return failed_precondition(
-                "out-of-order ack under a full-block policy");
-          }
-        }
-      }
-    }
-
-    attempt = newly_acked > 0 ? 1 : attempt + 1;
-    if (attempt > config_.retry.max_attempts) return result;
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) return result;
-      metrics_.retries += 1;
-    }
-    if (connection_loss) {
-      auto fresh = config_.reconnect(link.index);
-      if (fresh.is_ok()) {
-        link.transport->close();
-        link.transport = std::move(*fresh);
-        std::lock_guard lock(mutex_);
-        metrics_.reconnects += 1;
-      }
-      // Factory failure: back off and try the whole round again.
-    }
-    retry_backoff(link, attempt);
-  }
 }
 
 Status PrinsEngine::send_entry_locked(ReplicaLink& link, OutMessage& entry) {
@@ -1102,20 +1307,14 @@ void PrinsEngine::convert_to_repair_locked(OutMessage& entry) {
 }
 
 void PrinsEngine::heal_failed(ReplicaLink* link, const Status& why) {
-  const RetryPolicy& r = config_.retry;
   std::lock_guard lock(mutex_);
   link->heal_failures += 1;
-  const double base =
-      std::max<double>(1.0, static_cast<double>(r.base_backoff.count()));
-  double ms = base * std::pow(r.multiplier,
-                              static_cast<double>(std::min<std::uint32_t>(
-                                  link->heal_failures - 1, 30)));
-  ms = std::min(
-      ms, std::max<double>(1.0, static_cast<double>(r.max_backoff.count())));
-  ms *= 0.75 + 0.5 * link->jitter.next_double();
+  // The retry schedule, floored at 1 ms so that base_backoff = 0 cannot
+  // spin a degraded link through back-to-back reconnects.
   link->next_heal = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(ms));
+                    std::max<std::chrono::steady_clock::duration>(
+                        retry_delay(*link, link->heal_failures),
+                        std::chrono::milliseconds(1));
   PRINS_LOG(kWarn) << "self-heal of replica " << link->index
                    << " failed (attempt " << link->heal_failures
                    << "): " << why.to_string();
@@ -1123,30 +1322,20 @@ void PrinsEngine::heal_failed(ReplicaLink* link, const Status& why) {
 
 Status PrinsEngine::hello_locked(ReplicaLink& link,
                                  std::uint64_t& applied_ts) {
-  ReplicationMessage hello;
-  hello.kind = MessageKind::kHello;
-  hello.cluster_epoch = config_.cluster_epoch;
-  hello.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  const Bytes wire = hello.encode();
   for (std::size_t attempt = 0; attempt <= config_.retry.max_attempts;
        ++attempt) {
-    PRINS_RETURN_IF_ERROR(link.transport->send(wire));
-    auto reply = recv_reply_locked(link);
-    if (!reply.is_ok()) {
-      if (reply.status().code() == ErrorCode::kTimeout) continue;
-      return reply.status();
-    }
-    auto ack = ReplicationMessage::decode(*reply);
-    if (!ack.is_ok()) continue;  // torn; ask again
-    if (ack->kind == MessageKind::kAck && ack->sequence == hello.sequence) {
-      applied_ts = ack->timestamp_us;
+    ReplicationMessage hello;
+    hello.kind = MessageKind::kHello;
+    hello.cluster_epoch = config_.cluster_epoch;
+    auto reply = request_reply_locked(link, hello);
+    if (reply.is_ok() && reply->kind == MessageKind::kAck) {
+      applied_ts = reply->timestamp_us;
       return Status::ok();
     }
-    if (ack->kind == MessageKind::kNak && !ack->payload.empty() &&
-        ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-      return fenced_by_replica(link, ack->cluster_epoch);
+    if (!reply.is_ok() && reply.status().code() != ErrorCode::kTimeout) {
+      return reply.status();
     }
-    // NAK or a stale reply from before the outage: ask again.
+    // No answer, or a NAK: ask again.
   }
   return timeout_error("replica hello got no usable reply");
 }
@@ -1202,7 +1391,7 @@ Status PrinsEngine::build_resync_locked(ReplicaLink& link,
   // Build into a scratch set and commit only when complete: a fold failure
   // partway must not leave a partial set that a resumed heal would ship as
   // if it were the whole outage.
-  std::deque<ResyncFrame> frames;
+  std::deque<ReplicationMessage> frames;
   const std::uint32_t bs = block_size();
   for (Lba lba : trap_log_.blocks_changed_in(since, until)) {
     auto fold = trap_log_.fold_range(lba, since, until, bs);
@@ -1239,9 +1428,9 @@ Status PrinsEngine::build_resync_locked(ReplicaLink& link,
     msg.timestamp_us = until;
     msg.payload = encode_frame(codec_for(CodecId::kZeroRle), *fold);
     msg.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    frames.push_back(ResyncFrame{msg.sequence, msg.encode()});
+    frames.push_back(std::move(msg));
   }
-  link.resync_wire = std::move(frames);
+  link.resync_frames = std::move(frames);
   link.resync_upto = until;
   return Status::ok();
 }
@@ -1250,13 +1439,8 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
   std::lock_guard link_lock(link->mutex);
 
   // 1. Fresh connection.
-  auto fresh = config_.reconnect(link->index);
-  if (!fresh.is_ok()) return heal_failed(link, fresh.status());
-  link->transport->close();
-  link->transport = std::move(*fresh);
-  {
-    std::lock_guard lock(mutex_);
-    metrics_.reconnects += 1;
+  if (Status s = reconnect_locked(link); !s.is_ok()) {
+    return heal_failed(link, s);
   }
 
   // 2. Where is the replica really?  (Its applied position can be ahead
@@ -1268,51 +1452,35 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
 
   // 3. Build the folded catch-up set — unless an interrupted heal left one
   // to resume (resending the same sequences is safe: replica dedup).
-  if (link->resync_wire.empty()) {
+  if (link->resync_frames.empty()) {
     if (Status s = build_resync_locked(*link, replica_ts); !s.is_ok()) {
       return heal_failed(link, s);
     }
   }
 
   // 4. Ship it, one exchange per stale block.
-  while (!link->resync_wire.empty()) {
+  while (!link->resync_frames.empty()) {
     {
       std::lock_guard lock(mutex_);
       if (stopping_) return;
     }
-    const ResyncFrame& frame = link->resync_wire.front();
-    Status shipped = Status::ok();
-    bool delivered = false;
-    for (std::size_t attempt = 0;
-         attempt <= config_.retry.max_attempts && !delivered; ++attempt) {
-      shipped = link->transport->send(frame.wire);
-      if (!shipped.is_ok()) break;
-      auto reply = recv_reply_locked(*link);
-      if (!reply.is_ok()) {
+    Status shipped = timeout_error("resync frame got no ack; will resume");
+    for (std::size_t attempt = 0; attempt <= config_.retry.max_attempts;
+         ++attempt) {
+      auto reply = request_reply_locked(*link, link->resync_frames.front());
+      if (reply.is_ok()) {
+        if (!is_ack(*reply)) continue;  // NAK: resend
+        shipped = Status::ok();
+        break;
+      }
+      // Fenced by a promoted successor, or the connection is gone.
+      if (reply.status().code() != ErrorCode::kTimeout) {
         shipped = reply.status();
-        if (shipped.code() != ErrorCode::kTimeout) break;
-        continue;
+        break;
       }
-      auto ack = ReplicationMessage::decode(*reply);
-      if (!ack.is_ok()) continue;  // torn reply; resend
-      if (ack->kind == MessageKind::kAck && ack->sequence == frame.sequence) {
-        delivered = true;
-      }
-      if (ack->kind == MessageKind::kNak && !ack->payload.empty() &&
-          ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-        // A promoted successor owns these blocks now; abandon the heal.
-        return heal_failed(link,
-                           fenced_by_replica(*link, ack->cluster_epoch));
-      }
-      // NAK or stale ack: resend.
     }
-    if (!delivered) {
-      return heal_failed(
-          link, shipped.is_ok()
-                    ? timeout_error("resync frame got no ack; will resume")
-                    : shipped);
-    }
-    link->resync_wire.pop_front();
+    if (!shipped.is_ok()) return heal_failed(link, shipped);
+    link->resync_frames.pop_front();
   }
 
   // 5. Healed: rejoin the steady-state path.
@@ -1347,15 +1515,25 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
                    << link->resync_upto << ")";
 }
 
-// ---- Reactor-driven sender path (config.reactor_senders) -------------------
-//
-// The threaded sender_main/exchange_batch_locked pair becomes an event
-// machine: pump_link() (a posted closure) plays the pop-a-window half,
-// on_link_reply() (the transport's message handler) plays the
-// collect-replies half, and the wheel timer plays recv_for's op_timeout and
-// retry_backoff's sleep.  Lock order everywhere: sender guard, then link
-// mutex, then engine mutex_ — the same link-then-engine order the threaded
-// path uses, with the guard outermost so teardown can fence callbacks.
+bool PrinsEngine::heal_when_due(ReplicaLink* link) {
+  {
+    std::unique_lock lock(mutex_);
+    queue_cv_.wait_until(lock, link->next_heal, [this, link] {
+      return stopping_.load(std::memory_order_relaxed) ||
+             !healable_locked(*link);
+    });
+    if (stopping_.load(std::memory_order_relaxed)) return false;
+    // Reattached meanwhile, or woken early: let the caller re-check.
+    if (!healable_locked(*link) ||
+        std::chrono::steady_clock::now() < link->next_heal) {
+      return true;
+    }
+  }
+  attempt_heal(link);
+  return true;
+}
+
+// ---- Reactor driver (config.reactor_senders) -------------------------------
 
 bool PrinsEngine::install_reactor_link(ReplicaLink* link) {
   // underlying() sees through decorators (FaultyTransport et al.), so a
@@ -1363,20 +1541,17 @@ bool PrinsEngine::install_reactor_link(ReplicaLink* link) {
   auto* rt =
       dynamic_cast<ReactorTcpTransport*>(link->transport->underlying());
   if (rt == nullptr) return false;
-  auto guard = sender_guard_;
-  rt->set_close_handler([guard, link](const Status& why) {
-    std::lock_guard g(guard->m);
-    if (guard->engine == nullptr) return;
-    // Lock-free pre-check: never block a loop thread on the link mutex
-    // behind a multi-second heal exchange.
-    if (link->healing.load(std::memory_order_relaxed)) return;
-    guard->engine->on_link_closed(link, why);
+  rt->set_close_handler([guard = sender_guard_, link](const Status& why) {
+    on_link_event(guard, link, [&](PrinsEngine& engine) {
+      engine.on_link_lost_locked(
+          link, why.is_ok() ? unavailable("replica connection closed") : why);
+    });
   });
-  rt->set_message_handler([guard, link](Bytes&& reply) {
-    std::lock_guard g(guard->m);
-    if (guard->engine == nullptr) return;
-    if (link->healing.load(std::memory_order_relaxed)) return;
-    guard->engine->on_link_reply(link, std::move(reply));
+  rt->set_message_handler([guard = sender_guard_, link](Bytes&& reply) {
+    on_link_event(guard, link, [&](PrinsEngine& engine) {
+      const Result<MessageView> view = ReplicationMessage::decode_view(reply);
+      engine.on_link_replies_locked(link, {&view, 1});
+    });
   });
   return true;
 }
@@ -1389,32 +1564,6 @@ void PrinsEngine::clear_link_handlers(ReplicaLink& link) {
   }
 }
 
-void PrinsEngine::arm_link_timer_locked(
-    ReplicaLink* link, std::chrono::steady_clock::time_point deadline) {
-  const std::uint64_t epoch =
-      link->timer_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  link->timer_armed = true;
-  auto guard = sender_guard_;
-  link->timer = config_.reactor->add_timer_at(deadline, [guard, link, epoch] {
-    std::lock_guard g(guard->m);
-    // Guard first: `link` is only safe to touch while the engine lives.
-    if (guard->engine == nullptr) return;
-    if (link->timer_epoch.load(std::memory_order_relaxed) != epoch) return;
-    if (link->healing.load(std::memory_order_relaxed)) return;
-    guard->engine->on_link_timer(link);
-  });
-}
-
-void PrinsEngine::cancel_link_timer_locked(ReplicaLink* link) {
-  // The epoch bump retires a callback the wheel already dequeued and that
-  // cancel_timer can no longer reach.
-  link->timer_epoch.fetch_add(1, std::memory_order_relaxed);
-  if (link->timer_armed) {
-    link->timer_armed = false;
-    config_.reactor->cancel_timer(link->timer);
-  }
-}
-
 void PrinsEngine::schedule_pump_locked(ReplicaLink* link) {
   if (!link->reactor_driven || link->pump_scheduled ||
       stopping_.load(std::memory_order_relaxed)) {
@@ -1423,421 +1572,27 @@ void PrinsEngine::schedule_pump_locked(ReplicaLink* link) {
   if (link->phase != ReplicaLink::Phase::kIdle) return;
   if (link->outbox.empty()) return;
   // A degraded link holds its traffic for the heal's fold; only a
-  // sticky-dead link's pump runs (to drop the queue, below).
-  if (link->failed && healable_locked(*link)) return;
+  // sticky-dead link's pump runs (to drop the queue).
+  if (healable_locked(*link)) return;
   link->pump_scheduled = true;
-  auto guard = sender_guard_;
-  config_.reactor->post([guard, link] {
-    std::lock_guard g(guard->m);
-    if (guard->engine == nullptr) return;
-    if (link->healing.load(std::memory_order_relaxed)) return;
-    guard->engine->pump_link(link);
+  config_.reactor->post([guard = sender_guard_, link] {
+    on_link_event(guard, link,
+                  [&](PrinsEngine& engine) { engine.pump_link_locked(link); });
   });
-}
-
-void PrinsEngine::pump_link(ReplicaLink* link) {
-  std::lock_guard link_lock(link->mutex);
-  std::unique_lock lock(mutex_);
-  link->pump_scheduled = false;
-  if (stopping_.load(std::memory_order_relaxed)) return;
-  if (link->failed) {
-    if (healable_locked(*link)) return;  // the heal's fold carries the queue
-    // Sticky, non-healable failure: drop queued traffic so producers and
-    // drain() never block behind a dead link (sender_main's
-    // already_failed path).
-    if (link->outbox.empty()) return;
-    while (!link->outbox.empty()) {
-      const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
-      if (it != link->fold_slots.end() && it->second == link->first_slot) {
-        link->fold_slots.erase(it);
-      }
-      OutMessage item = std::move(link->outbox.front());
-      link->outbox.pop_front();
-      ++link->first_slot;
-      complete_locked(item, /*acked=*/false);
-    }
-    const std::uint64_t watermark = ack_watermark_locked();
-    queue_cv_.notify_all();
-    if (idle_locked()) drain_cv_.notify_all();
-    lock.unlock();
-    advance_journal_watermark(watermark);
-    return;
-  }
-  if (link->phase != ReplicaLink::Phase::kIdle || link->outbox.empty()) {
-    return;
-  }
-
-  const std::size_t window = std::max<std::size_t>(1, config_.pipeline_depth);
-  while (!link->outbox.empty() && link->round.size() < window) {
-    // A popped entry can no longer absorb folds.
-    const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
-    if (it != link->fold_slots.end() && it->second == link->first_slot) {
-      link->fold_slots.erase(it);
-    }
-    link->round.push_back(std::move(link->outbox.front()));
-    link->outbox.pop_front();
-    ++link->first_slot;
-  }
-  link->round_acked.assign(link->round.size(), false);
-  link->round_attempt = 0;
-  link->round_sent = 0;
-  link->round_covered = 0;
-  link->round_progress = false;
-  link->in_flight += link->round.size();
-  link->phase = ReplicaLink::Phase::kAwaitingAcks;
-  queue_cv_.notify_all();  // wake producers blocked on outbox capacity
-  lock.unlock();
-
-  // Transmit.  On a loop thread the transport's enqueue never blocks on
-  // flow control, so a stuck replica cannot stall the reactor here.
-  std::size_t sent = 0;
-  Status result = Status::ok();
-  for (OutMessage& entry : link->round) {
-    result = send_entry_locked(*link, entry);
-    if (!result.is_ok()) break;
-    ++sent;
-  }
-  if (!result.is_ok()) {
-    // Sends on a reactor transport only fail once the connection is dead;
-    // classification (degraded heal vs. sticky) happens in fail_round.
-    fail_round(link, result);
-    return;
-  }
-  lock.lock();
-  if (link->phase != ReplicaLink::Phase::kAwaitingAcks) return;
-  link->round_sent = sent;
-  if (config_.retry.op_timeout.count() > 0) {
-    arm_link_timer_locked(
-        link, std::chrono::steady_clock::now() + config_.retry.op_timeout);
-  }
-}
-
-void PrinsEngine::on_link_reply(ReplicaLink* link, Bytes reply) {
-  std::lock_guard link_lock(link->mutex);
-  std::unique_lock lock(mutex_);
-  if (stopping_.load(std::memory_order_relaxed) || link->round.empty()) {
-    return;  // stale ack from an earlier round/life of the link
-  }
-  if (link->phase != ReplicaLink::Phase::kAwaitingAcks &&
-      link->phase != ReplicaLink::Phase::kBackoff) {
-    return;
-  }
-  // Coverage counts completions per transmission attempt; an ack landing
-  // during a backoff still settles its entry but does not count toward the
-  // attempt that already closed.
-  const bool counting = link->phase == ReplicaLink::Phase::kAwaitingAcks;
-
-  const auto mark = [&](std::size_t i) {
-    link->round_acked[i] = true;
-    link->round_progress = true;
-    complete_locked(link->round[i], /*acked=*/true);
-    const std::uint64_t ts = link->round[i].meta.timestamp_us;
-    if (ts > link->acked_timestamp.load(std::memory_order_relaxed)) {
-      link->acked_timestamp.store(ts, std::memory_order_relaxed);
-    }
-  };
-  const auto all_acked = [&] {
-    return std::all_of(link->round_acked.begin(), link->round_acked.end(),
-                       [](bool a) { return a; });
-  };
-
-  constexpr std::size_t kNoConvert = static_cast<std::size_t>(-1);
-  std::size_t convert_index = kNoConvert;
-  auto ack = ReplicationMessage::decode(reply);
-  if (!ack.is_ok()) {
-    if (counting) ++link->round_covered;  // torn reply; retransmit covers it
-  } else if (ack->kind == MessageKind::kAckBatch) {
-    auto ranges = unpack_ack_ranges(ack->payload);
-    if (!ranges.is_ok()) {
-      if (counting) ++link->round_covered;  // damaged; dedup re-acks
-    } else {
-      for (const AckRange& range : *ranges) {
-        if (counting) link->round_covered += range.count;
-        for (std::size_t i = 0; i < link->round.size(); ++i) {
-          if (!link->round_acked[i] &&
-              range.covers(link->round[i].meta.sequence)) {
-            mark(i);
-          }
-        }
-      }
-    }
-  } else if (ack->kind == MessageKind::kNak) {
-    if (counting) ++link->round_covered;
-    if (!ack->payload.empty() &&
-        ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-      // Fenced by a promoted successor: sticky, unhealable failure.
-      lock.unlock();
-      fail_round(link, fenced_by_replica(*link, ack->cluster_epoch));
-      return;
-    }
-    if (!ack->payload.empty() &&
-        ack->payload[0] == static_cast<Byte>(NakReason::kNeedFullBlock)) {
-      for (std::size_t i = 0; i < link->round.size(); ++i) {
-        if (!link->round_acked[i] &&
-            link->round[i].meta.sequence == ack->sequence) {
-          convert_index = i;
-          break;
-        }
-      }
-    }
-    // A plain NAK (torn frame at the replica) is covered by the attempt's
-    // retransmit, exactly like the threaded path.
-  } else if (ack->kind == MessageKind::kAck) {
-    if (counting) ++link->round_covered;
-    for (std::size_t i = 0; i < link->round.size(); ++i) {
-      if (!link->round_acked[i] &&
-          link->round[i].meta.sequence == ack->sequence) {
-        mark(i);
-        break;
-      }
-    }
-    // Unmatched sequences are stale acks from duplicated delivery or an
-    // earlier timed-out round; ignore them.
-  } else {
-    lock.unlock();
-    fail_round(link, failed_precondition("replica sent non-ACK reply"));
-    return;
-  }
-
-  if (convert_index != kNoConvert) {
-    // convert_to_repair_locked takes mutex_ (metrics) and a stripe lock
-    // itself; call it with only the link mutex held, like the threaded
-    // path does.
-    lock.unlock();
-    convert_to_repair_locked(link->round[convert_index]);
-    lock.lock();
-  }
-
-  if (all_acked()) {
-    finish_round(link, lock);
-    return;
-  }
-  if (counting && link->round_covered >= link->round_sent) {
-    // Every reply for this attempt arrived, entries still open: drops or
-    // NAKs upstream — retransmit after the backoff.
-    round_retry_or_fail(
-        link, lock, timeout_error("replica replies incomplete; retransmitting"));
-    return;
-  }
-  // Partial progress: settled entries may already move the watermark.
-  const std::uint64_t watermark = ack_watermark_locked();
-  lock.unlock();
-  advance_journal_watermark(watermark);
-}
-
-void PrinsEngine::on_link_closed(ReplicaLink* link, const Status& why) {
-  std::lock_guard link_lock(link->mutex);
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed) || link->failed) return;
-    if (link->phase == ReplicaLink::Phase::kExclusive) return;
-  }
-  fail_round(link,
-             why.is_ok() ? unavailable("replica connection closed") : why);
-}
-
-void PrinsEngine::on_link_timer(ReplicaLink* link) {
-  std::lock_guard link_lock(link->mutex);
-  std::unique_lock lock(mutex_);
-  if (stopping_.load(std::memory_order_relaxed) || !link->timer_armed) return;
-  link->timer_armed = false;
-  switch (link->phase) {
-    case ReplicaLink::Phase::kAwaitingAcks:
-      // op_timeout expired with replies missing: recv_for's timeout in
-      // event form.
-      round_retry_or_fail(link, lock,
-                          timeout_error("replica reply timed out"));
-      return;
-    case ReplicaLink::Phase::kBackoff:
-      lock.unlock();
-      resend_round(link);
-      return;
-    default:
-      return;
-  }
-}
-
-void PrinsEngine::round_retry_or_fail(ReplicaLink* link,
-                                      std::unique_lock<std::mutex>& lock,
-                                      const Status& why) {
-  // exchange_batch_locked's full-block ordering check: an un-acked entry
-  // behind an acked same-LBA successor cannot be retransmitted (full
-  // blocks do not commute).
-  if (!ships_parity(config_.policy)) {
-    for (std::size_t i = 0; i < link->round.size(); ++i) {
-      if (link->round_acked[i]) continue;
-      for (std::size_t j = i + 1; j < link->round.size(); ++j) {
-        if (link->round_acked[j] &&
-            link->round[j].meta.lba == link->round[i].meta.lba) {
-          lock.unlock();
-          fail_round(link, failed_precondition(
-                               "out-of-order ack under a full-block policy"));
-          return;
-        }
-      }
-    }
-  }
-  link->round_attempt =
-      link->round_progress ? 1 : link->round_attempt + 1;
-  link->round_progress = false;
-  if (link->round_attempt > config_.retry.max_attempts) {
-    lock.unlock();
-    fail_round(link, why);
-    return;
-  }
-  metrics_.retries += 1;
-  link->phase = ReplicaLink::Phase::kBackoff;
-  cancel_link_timer_locked(link);  // an op_timeout may still be ticking
-  arm_link_timer_locked(link,
-                        std::chrono::steady_clock::now() +
-                            retry_delay(*link, link->round_attempt));
-  lock.unlock();
-}
-
-void PrinsEngine::resend_round(ReplicaLink* link) {
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed) || link->failed ||
-        link->round.empty()) {
-      return;
-    }
-    link->phase = ReplicaLink::Phase::kAwaitingAcks;
-    link->round_sent = 0;
-    link->round_covered = 0;
-    link->round_progress = false;
-  }
-  std::size_t sent = 0;
-  Status result = Status::ok();
-  for (std::size_t i = 0; i < link->round.size(); ++i) {
-    if (link->round_acked[i]) continue;
-    result = send_entry_locked(*link, link->round[i]);
-    if (!result.is_ok()) break;
-    ++sent;
-  }
-  if (!result.is_ok()) {
-    fail_round(link, result);
-    return;
-  }
-  std::lock_guard lock(mutex_);
-  if (link->phase != ReplicaLink::Phase::kAwaitingAcks) return;
-  link->round_sent = sent;
-  if (config_.retry.op_timeout.count() > 0) {
-    arm_link_timer_locked(
-        link, std::chrono::steady_clock::now() + config_.retry.op_timeout);
-  }
-}
-
-void PrinsEngine::finish_round(ReplicaLink* link,
-                               std::unique_lock<std::mutex>& lock) {
-  link->in_flight -= link->round.size();
-  link->round.clear();
-  link->round_acked.clear();
-  link->round_attempt = 0;
-  link->round_sent = 0;
-  link->round_covered = 0;
-  link->round_progress = false;
-  cancel_link_timer_locked(link);
-  link->phase = ReplicaLink::Phase::kIdle;
-  const std::uint64_t watermark = ack_watermark_locked();
-  queue_cv_.notify_all();
-  if (idle_locked()) drain_cv_.notify_all();
-  schedule_pump_locked(link);
-  lock.unlock();
-  advance_journal_watermark(watermark);
-}
-
-void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
-  bool spawn_heal = false;
-  std::uint64_t watermark = 0;
-  {
-    std::lock_guard lock(mutex_);
-    if (link->failed) return;  // a close and a timeout can race; first wins
-    cancel_link_timer_locked(link);
-    link->in_flight -= link->round.size();
-    // sender_main's failure classification: a heal's fold can re-deliver
-    // kWrite traffic, so an all-write round failing on a healable link is
-    // *degraded*; any other kind has no second delivery path.
-    bool fold_covers_round = true;
-    for (std::size_t i = 0; i < link->round.size(); ++i) {
-      fold_covers_round &=
-          link->round[i].meta.kind == MessageKind::kWrite;
-      // Entries acked before the failure were settled at ack time.
-      if (!link->round_acked[i]) {
-        complete_locked(link->round[i], /*acked=*/false);
-      }
-    }
-    link->round.clear();
-    link->round_acked.clear();
-    link->round_attempt = 0;
-    link->round_sent = 0;
-    link->round_covered = 0;
-    link->round_progress = false;
-    link->failed = true;
-    link->next_heal = std::chrono::steady_clock::now();
-    if (fold_covers_round && healable_locked(*link)) {
-      PRINS_LOG(kWarn) << "replica " << link->index
-                       << " degraded; self-heal scheduled: "
-                       << why.to_string();
-      link->phase = ReplicaLink::Phase::kHealing;
-      link->healing.store(true, std::memory_order_relaxed);
-      spawn_heal = true;
-    } else {
-      link->phase = ReplicaLink::Phase::kIdle;
-      if (worker_error_.is_ok()) {
-        worker_error_ = why;
-        PRINS_LOG(kError) << "replication failed: " << why.to_string();
-      }
-      // Queued traffic behind a sticky-dead link must still drain.
-      schedule_pump_locked(link);
-    }
-    watermark = ack_watermark_locked();
-    queue_cv_.notify_all();
-    if (idle_locked()) drain_cv_.notify_all();
-  }
-  // The dying transport's callbacks must go quiet: the heal will close
-  // and replace it, and a sticky-dead link's late frames mean nothing.
-  clear_link_handlers(*link);
-  advance_journal_watermark(watermark);
-  if (spawn_heal) {
-    // The previous heal episode's thread (if any) exited before this
-    // link could fail again, so the join is immediate.
-    if (link->sender.joinable()) link->sender.join();
-    link->sender = std::thread([this, link] { heal_main(link); });
-  }
 }
 
 void PrinsEngine::heal_main(ReplicaLink* link) {
   for (;;) {
-    {
-      std::unique_lock lock(mutex_);
-      if (stopping_.load(std::memory_order_relaxed)) {
-        link->healing.store(false, std::memory_order_relaxed);
-        return;
-      }
-      if (!healable_locked(*link)) break;  // healed, reattached, unhealable
-      const auto next_heal = link->next_heal;
-      lock.unlock();
-      if (std::chrono::steady_clock::now() < next_heal) {
-        reactor_wait_until(next_heal);
-        continue;  // re-check state after the wait
-      }
+    if (!heal_when_due(link)) {
+      link->healing.store(false, std::memory_order_relaxed);
+      return;
     }
-    // attempt_heal's hello/resync exchanges use blocking recv() on the
-    // fresh transport — valid here because no message handler is
-    // installed on it yet.
-    attempt_heal(link);
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_.load(std::memory_order_relaxed)) {
-        link->healing.store(false, std::memory_order_relaxed);
-        return;
-      }
-      if (!link->failed) break;
-    }
+    std::lock_guard lock(mutex_);
+    if (!healable_locked(*link)) break;  // healed, reattached, unhealable
   }
   if (!rejoin_reactor_link(link)) {
     // The reconnect factory produced a non-reactor transport: this thread
-    // simply becomes the link's sender.
+    // simply becomes the link's threaded driver.
     sender_main(link);
   }
 }
@@ -1921,19 +1676,53 @@ class PrinsEngine::LinkExclusive {
   ReplicaLink* link_;
 };
 
-Status PrinsEngine::send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
-                                        MessageKind /*expect_ack_of*/) {
-  PRINS_RETURN_IF_ERROR(link.transport->send(wire));
-  PRINS_ASSIGN_OR_RETURN(Bytes reply, link.transport->recv());
-  PRINS_ASSIGN_OR_RETURN(ReplicationMessage ack,
-                         ReplicationMessage::decode(reply));
-  if (ack.kind == MessageKind::kNak && !ack.payload.empty() &&
-      ack.payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-    return fenced_by_replica(link, ack.cluster_epoch);
+Result<ReplicationMessage> PrinsEngine::request_reply_locked(
+    ReplicaLink& link, ReplicationMessage& request) {
+  if (request.sequence == 0) {
+    request.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (ack.kind != MessageKind::kAck) {
-    return failed_precondition("replica sent non-ACK reply");
+  PRINS_RETURN_IF_ERROR(link.transport->send(request.encode()));
+  // Frames from earlier traffic — the second ACK of a duplicated delivery,
+  // a late reply to a timed-out round or exchange — may precede the answer.
+  // With op_timeout set, skip them until that deadline.  Without it, skip
+  // at most what earlier traffic can have left behind: every entry of a
+  // round window sent max_attempts + 1 times, each delivery duplicated.
+  using Clock = std::chrono::steady_clock;
+  const bool timed = config_.retry.op_timeout.count() > 0;
+  const Clock::time_point deadline = Clock::now() + config_.retry.op_timeout;
+  const std::size_t skim = 2 * std::max<std::size_t>(1, config_.pipeline_depth) *
+                           (config_.retry.max_attempts + 1);
+  for (std::size_t skipped = 0; timed || skipped <= skim; ++skipped) {
+    PRINS_ASSIGN_OR_RETURN(
+        Bytes wire,
+        timed ? link.transport->recv_for(
+                    std::chrono::ceil<std::chrono::milliseconds>(std::max(
+                        deadline - Clock::now(), Clock::duration::zero())))
+              : link.transport->recv());
+    auto reply = ReplicationMessage::decode(wire);
+    // A torn frame, or the replica's sequence-0 NAK for a frame it could
+    // not read, may be the answer: skip it only while a deadline bounds
+    // the wait for another.
+    if (!reply.is_ok() ||
+        (reply->kind == MessageKind::kNak && reply->sequence == 0)) {
+      if (!timed) break;
+      continue;
+    }
+    if (reply->sequence != request.sequence) continue;  // stale
+    if (reply->kind == MessageKind::kNak &&
+        nak_reason(reply->payload) == NakReason::kStaleEpoch) {
+      return fenced_by_replica(link, reply->cluster_epoch);
+    }
+    return std::move(*reply);
   }
+  return timeout_error("replica gave no usable reply to the request");
+}
+
+Status PrinsEngine::send_and_ack_locked(ReplicaLink& link,
+                                        ReplicationMessage& message) {
+  PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
+                         request_reply_locked(link, message));
+  if (!is_ack(reply)) return failed_precondition("replica sent non-ACK reply");
   return Status::ok();
 }
 
@@ -2021,11 +1810,8 @@ Status PrinsEngine::flat_verify_locked(ReplicaLink& link, Lba start,
     req.cluster_epoch = config_.cluster_epoch;
     req.block_size = bs;
     req.payload = pack_checksums(sums);
-    PRINS_RETURN_IF_ERROR(link.transport->send(req.encode()));
-
-    PRINS_ASSIGN_OR_RETURN(Bytes reply_wire, link.transport->recv());
     PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
-                           ReplicationMessage::decode(reply_wire));
+                           request_reply_locked(link, req));
     if (reply.kind != MessageKind::kVerifyReply) {
       return failed_precondition("replica sent non-verify reply");
     }
@@ -2039,8 +1825,7 @@ Status PrinsEngine::flat_verify_locked(ReplicaLink& link, Lba start,
       repair.block_size = bs;
       repair.lba = lba;
       repair.payload = encode_frame(codec_for(CodecId::kLz), block);
-      PRINS_RETURN_IF_ERROR(send_and_ack_locked(link, repair.encode(),
-                                                MessageKind::kRepairBlock));
+      PRINS_RETURN_IF_ERROR(send_and_ack_locked(link, repair));
       ++repaired;
     }
   }
@@ -2089,10 +1874,8 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair_hierarchical(
       req.cluster_epoch = config_.cluster_epoch;
       req.block_size = block_size();
       req.payload = pack_ranges(frontier);
-      PRINS_RETURN_IF_ERROR(link->transport->send(req.encode()));
-      PRINS_ASSIGN_OR_RETURN(Bytes reply_wire, link->transport->recv());
       PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
-                             ReplicationMessage::decode(reply_wire));
+                             request_reply_locked(*link, req));
       if (reply.kind != MessageKind::kHashReply) {
         return failed_precondition("replica sent non-hash reply");
       }
@@ -2160,53 +1943,34 @@ Status PrinsEngine::fetch_block_from_replica(Lba lba, MutByteSpan out) {
     req.cluster_epoch = config_.cluster_epoch;
     req.block_size = block_size();
     req.lba = lba;
-    req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
     LinkExclusive exclusive(*this, link);
     std::lock_guard link_lock(link->mutex);
-    if (Status sent = link->transport->send(req.encode()); !sent.is_ok()) {
-      last = sent;
+    auto reply = request_reply_locked(*link, req);
+    if (!reply.is_ok()) {
+      last = reply.status();
       continue;
     }
-    // A previous exchange that finished early can leave duplicate acks
-    // buffered on the transport; skim past anything that is not our reply.
-    bool answered = false;
-    for (int tries = 0; tries < 16 && !answered; ++tries) {
-      auto reply_wire = recv_reply_locked(*link);
-      if (!reply_wire.is_ok()) {
-        last = reply_wire.status();
-        break;
-      }
-      auto reply = ReplicationMessage::decode(*reply_wire);
-      if (!reply.is_ok()) continue;  // torn frame; keep listening
-      if (reply->sequence != req.sequence) continue;  // stale ack
-      answered = true;
-      if (reply->kind == MessageKind::kNak) {
-        if (!reply->payload.empty() &&
-            reply->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-          last = fenced_by_replica(*link, reply->cluster_epoch);
-          break;
-        }
-        any_nak = true;
-        last = corruption_error("replica " + std::to_string(i) +
-                                " cannot serve block " + std::to_string(lba));
-        break;
-      }
-      if (reply->kind != MessageKind::kReadBlockReply || reply->lba != lba) {
-        last = failed_precondition("unexpected reply to read-block request");
-        break;
-      }
-      auto block = decode_frame(reply->payload);
-      if (!block.is_ok()) {
-        last = block.status();
-        break;
-      }
-      if (block->size() != out.size()) {
-        last = corruption("read-block reply has the wrong block size");
-        break;
-      }
-      std::copy(block->begin(), block->end(), out.begin());
-      return Status::ok();
+    if (reply->kind == MessageKind::kNak) {
+      any_nak = true;
+      last = corruption_error("replica " + std::to_string(i) +
+                              " cannot serve block " + std::to_string(lba));
+      continue;
     }
+    if (reply->kind != MessageKind::kReadBlockReply || reply->lba != lba) {
+      last = failed_precondition("unexpected reply to read-block request");
+      continue;
+    }
+    auto block = decode_frame(reply->payload);
+    if (!block.is_ok()) {
+      last = block.status();
+      continue;
+    }
+    if (block->size() != out.size()) {
+      last = corruption("read-block reply has the wrong block size");
+      continue;
+    }
+    std::copy(block->begin(), block->end(), out.begin());
+    return Status::ok();
   }
   // If at least one replica answered "my copy is damaged too", surface that
   // over a transport error: the caller's next escalation differs.
@@ -2374,8 +2138,7 @@ Result<std::uint64_t> PrinsEngine::resync_replica(std::size_t index) {
     msg.timestamp_us =
         clock_state_.load(std::memory_order_seq_cst) & kClockMask;
     newest = msg.timestamp_us;
-    PRINS_RETURN_IF_ERROR(
-        send_and_ack_locked(*link, msg.encode(), msg.kind));
+    PRINS_RETURN_IF_ERROR(send_and_ack_locked(*link, msg));
     ++resynced;
   }
   link->acked_timestamp.store(newest, std::memory_order_relaxed);

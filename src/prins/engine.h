@@ -8,13 +8,21 @@
 //      (computed by the fused SIMD kernel, which also yields the dirty-byte
 //      count for free), for traditional policies the new block itself —
 //      encoded by the policy's codec,
-//   3. fanned out to a per-replica outbox, each drained by its own sender
-//      thread, so a slow or high-latency replica never serializes the
-//      others.  Each sender streams up to `pipeline_depth` messages per
-//      link round-trip before collecting ACKs.  With
-//      `EngineConfig::reactor_senders` the sender threads disappear: each
-//      link becomes a reactor-hosted state machine (pumped by post(),
-//      acked by message-handler callbacks, timed by the wheel).
+//   3. fanned out to a per-replica outbox, drained link by link so a slow
+//      or high-latency replica never serializes the others.
+//
+// Every link runs the same round machine: pop up to `pipeline_depth`
+// outbox entries, transmit the un-acked ones, settle ACK / kAckBatch / NAK
+// replies, count attempts, and on exhaustion choose between a degraded
+// self-heal and a sticky failure.  Two drivers feed it events.  The
+// threaded driver is one sender thread per link over any Transport: it
+// blocks in recv_for(), gathers an attempt's plain ACKs and hands them (or
+// a timeout, a close, any other reply) to the machine in one pass.  With
+// `EngineConfig::reactor_senders` a ReactorTcpTransport link is
+// reactor-driven instead: pumps are posted to the reactor, replies and
+// closes arrive as handler callbacks, and deadlines ride the timer wheel.  The drivers differ in one place: on connection loss the thread
+// reconnects in-round through `reconnect`, while a reactor-driven link
+// degrades to self-heal, because a loop thread must not block in connect().
 //
 // Optionally (`coalesce_writes`) back-to-back deltas to the same LBA that
 // are still waiting in an outbox are XOR-folded into a single message: the
@@ -39,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -77,9 +86,10 @@ struct RetryPolicy {
   std::chrono::milliseconds base_backoff{1};
   double multiplier = 2.0;
   std::chrono::milliseconds max_backoff{200};
-  /// Per-reply receive deadline.  0 (default) blocks forever — a dropped
-  /// message then stalls the link until the peer closes, exactly the
-  /// pre-retry behavior.  Set it on lossy fabrics so drops surface as
+  /// Reply deadline of one transmission attempt, counted from its first
+  /// send: every frame the attempt sent must be answered within it.  0 (default) blocks forever — a
+  /// dropped message then stalls the link until the peer closes, exactly
+  /// the pre-retry behavior.  Set it on lossy fabrics so drops surface as
   /// kTimeout and trigger retransmission.
   std::chrono::milliseconds op_timeout{0};
 };
@@ -124,32 +134,26 @@ struct EngineConfig {
   /// reconnects, folds the parity log over the outage window, resyncs the
   /// replica, and unfreezes the journal watermark.
   TransportFactory reconnect;
-  /// Deadline substrate for retry backoff and heal scheduling.  Null
-  /// (default): a sender waiting out a backoff parks in a per-thread timed
-  /// condition wait, exactly the historical behavior.  Non-null: the delay
-  /// becomes an entry on this reactor's timer wheel and the sender parks
-  /// in an *untimed* wait on a gate the wheel fires — one shared wheel
-  /// tracks every link's deadline, and stop/reattach cancel the gates so
-  /// waiters re-check state immediately instead of sleeping out the rest
-  /// of their backoff.  Pair with ReactorTcpTransport links so the
-  /// per-reply op_timeout rides the same wheel (its recv_for arms a wheel
-  /// timer rather than polling).
+  /// Event loop of the reactor driver (see `reactor_senders`): pumps are
+  /// posted onto it and reactor-driven links time their op_timeout and
+  /// retry backoff on its wheel.  Threaded links never read it — they time
+  /// out in recv_for() and wait out backoffs on a condition variable.
   std::shared_ptr<Reactor> reactor;
-  /// Thread-free primary: drive each replica link as a reactor-hosted
-  /// outbox state machine instead of a dedicated sender thread.  Requires
-  /// `reactor`; links whose transports are not ReactorTcpTransports (at
+  /// Thread-free primary: drive each replica link's round machine from the
+  /// reactor instead of a dedicated sender thread.  Requires `reactor`;
+  /// links whose transports are not ReactorTcpTransports (at
   /// add_replica(), after reattach_replica(), or produced by `reconnect`)
-  /// transparently fall back to a threaded sender.  The steady state
-  /// spends zero engine threads: distribute() posts a pump onto the
-  /// reactor, replica ACKs/NAKs arrive as message-handler callbacks on
-  /// the transport's loop, and the RetryPolicy's op_timeout and retry
-  /// backoff ride the timer wheel.  Semantics differ from the threaded
-  /// path in one place: a lost connection is never reconnected in-round —
-  /// it degrades the link and the self-heal path (keep_trap_log +
-  /// reconnect) reconnects and folds the outage; with either of those
-  /// unset, connection loss is a sticky failure exactly as if `reconnect`
-  /// were null.  A transient thread exists only while a degraded link
-  /// heals.
+  /// fall back to the threaded driver, resuming any open round.  The
+  /// steady state spends zero engine threads: distribute() posts a pump
+  /// onto the reactor, replica ACKs/NAKs arrive as message-handler
+  /// callbacks on the transport's loop, and the op_timeout and retry
+  /// backoff ride the timer wheel.  The round logic is the threaded
+  /// driver's; only connection loss differs: it is never reconnected
+  /// in-round — it degrades the link and the self-heal path
+  /// (keep_trap_log + reconnect) reconnects and folds the outage; with
+  /// either of those unset it is a sticky failure, exactly as if
+  /// `reconnect` were null.  A transient thread exists only while a
+  /// degraded link heals.
   bool reactor_senders = false;
   /// LBA-striped submit locks: writers to blocks in different shards
   /// (shard = lba mod write_shards) proceed concurrently; same-block writes
@@ -289,10 +293,10 @@ class PrinsEngine final : public BlockDevice {
 
   /// Fetch one block's contents from the first healthy replica that can
   /// serve it (kReadBlockRequest).  The scrubber's replica-pull repair
-  /// source; also usable directly for ad-hoc recovery.  Call when the
-  /// links are quiet (e.g. after drain()) — a reply in flight on a busy
-  /// link would be misread.  DATA_CORRUPTION if every replica NAK'd the
-  /// block (their copies are damaged too).
+  /// source; also usable directly for ad-hoc recovery.  The exchange waits
+  /// out the link's open round and matches its reply by sequence, so
+  /// stale frames on the link are skipped.  DATA_CORRUPTION if every
+  /// replica NAK'd the block (their copies are damaged too).
   Status fetch_block_from_replica(Lba lba, MutByteSpan out);
 
   /// Scrub the local device: drain, pause writers, and run one Scrubber
@@ -424,13 +428,6 @@ class PrinsEngine final : public BlockDevice {
     std::size_t covered_count() const { return 1 + extra_covered.size(); }
   };
 
-  /// One heal message awaiting delivery: a resumed heal resends the same
-  /// wire bytes (same sequence), so the replica's dedup absorbs overlap.
-  struct ResyncFrame {
-    std::uint64_t sequence;
-    Bytes wire;
-  };
-
   struct ReplicaLink {
     std::unique_ptr<Transport> transport;
     std::mutex mutex;  // serializes exchanges on this link
@@ -454,24 +451,28 @@ class PrinsEngine final : public BlockDevice {
     /// fold and complete immediately instead of queueing.
     std::uint64_t skip_below_ts = 0;
 
-    // Heal state touched only by this link's sender thread (and by
+    // Heal state touched only by the thread healing this link (and by
     // reattach_replica under `mutex`).
-    std::deque<ResyncFrame> resync_wire;  // un-acked heal messages
-    std::uint64_t resync_upto = 0;        // fold window end of resync_wire
+    /// Un-acked heal messages.  Each keeps its sequence, so a resumed
+    /// heal's resend is absorbed by the replica's dedup.
+    std::deque<ReplicationMessage> resync_frames;
+    std::uint64_t resync_upto = 0;  // fold window end of resync_frames
     std::uint32_t heal_failures = 0;
     std::chrono::steady_clock::time_point next_heal{};
 
+    /// The threaded driver, or a reactor-driven link's transient heal
+    /// thread.
     std::thread sender;
 
-    // ---- Reactor-driven sender state (config.reactor_senders) ----------
-    /// Event-machine phase, guarded by mutex_.  kIdle: nothing in flight,
-    /// a pump may open a round.  kAwaitingAcks: a round was transmitted
-    /// and replies are being collected by the message handler.  kBackoff:
-    /// the round came back short (timeout / NAKs) and a wheel timer is
-    /// sleeping out the retry backoff before the retransmit.  kHealing: a
-    /// transient heal thread owns the link (handlers uninstalled, traffic
-    /// held).  kExclusive: a blocking operator exchange (verify / resync /
-    /// fetch) owns the link and reads replies via recv().
+    // ---- Round machine (both drivers) -----------------------------------
+    /// Phase, guarded by mutex_.  kIdle: nothing in flight, a pump may
+    /// open a round.  kAwaitingAcks: a round was transmitted and replies
+    /// are being collected.  kBackoff: the round came back short (timeout
+    /// / NAKs) and the retry backoff runs until `deadline`.  kHealing: a
+    /// transient heal thread owns a reactor-driven link (handlers
+    /// uninstalled, traffic held).  kExclusive: a blocking operator
+    /// exchange (verify / resync / fetch) owns a reactor-driven link and
+    /// reads replies via recv().
     enum class Phase { kIdle, kAwaitingAcks, kBackoff, kHealing, kExclusive };
     bool reactor_driven = false;  // guarded by mutex_; set at add_replica,
                                   // cleared only by a threaded fallback
@@ -482,13 +483,18 @@ class PrinsEngine final : public BlockDevice {
     /// touch engine-wide state such as in_flight or outstanding_).
     std::vector<OutMessage> round;
     std::vector<bool> round_acked;     // per-entry outcome so far
-    std::size_t round_attempt = 0;     // mirrors exchange_batch_locked's
+    /// Per-entry: a reply answered it this attempt (entries not resent
+    /// this attempt start answered).  Only a first answer counts.
+    std::vector<bool> round_answered;
+    std::size_t round_attempt = 0;     // consecutive no-progress attempts
     std::size_t round_sent = 0;        // frames sent this attempt
-    std::size_t round_covered = 0;     // completions covered this attempt
+    std::size_t round_covered = 0;     // replies counted this attempt
     bool round_progress = false;       // an ack landed this attempt
-    /// The link's single wheel timer (op_timeout, retry backoff, or an
+    /// The link's single deadline (op_timeout, retry backoff, or an
     /// immediate reattach retransmit — exactly one purpose at a time,
-    /// derived from `phase`).  Guarded by mutex_.
+    /// derived from `phase`).  The reactor driver arms `timer` on the
+    /// wheel for it; the threaded driver waits for it.  Guarded by mutex_.
+    std::chrono::steady_clock::time_point deadline{};
     TimerId timer = 0;
     bool timer_armed = false;
     /// Bumped on every arm/cancel; a stale wheel callback compares its
@@ -563,30 +569,31 @@ class PrinsEngine final : public BlockDevice {
     std::atomic<std::uint64_t>& slot_;
   };
 
+  /// The threaded driver: wait for work, pump, drive the round; heal the
+  /// link itself while it is degraded.
   void sender_main(ReplicaLink* link);
-  /// Deliver a popped window to the replica with retry/reconnect per the
-  /// RetryPolicy.  OK iff every entry was acked; `acked` records per-entry
-  /// outcomes either way.  Link mutex must be held.
-  Status exchange_batch_locked(ReplicaLink& link,
-                               std::vector<OutMessage>& batch,
-                               std::vector<bool>& acked);
-  Result<Bytes> recv_reply_locked(ReplicaLink& link);
+  /// Threaded driver, one open round: recv_for() the link's deadline and
+  /// feed each reply, timeout or error to the round machine until the
+  /// round settles.  Link mutex must be held.
+  void drive_round_locked(ReplicaLink* link);
+  /// One operator request/reply exchange: stamp a fresh sequence on
+  /// `request` (unless it carries one), send it, and return the replica's
+  /// answer to it, skipping stale frames from earlier traffic (until
+  /// op_timeout, or up to a bound without one).  kTimeout when no answer
+  /// arrived; a kStaleEpoch NAK maps to
+  /// fenced_by_replica().  Link mutex must be held.
+  Result<ReplicationMessage> request_reply_locked(ReplicaLink& link,
+                                                  ReplicationMessage& request);
   /// Rewrite a NAK'd (NakReason::kNeedFullBlock) in-flight parity entry as
   /// a kRepairBlock carrying the block's full contents at the entry's own
   /// timestamp, so deltas queued behind it still telescope.  No-op (the
   /// next retry round converts) while a write is mid-flight to the trap
   /// log.  Link mutex must be held.
   void convert_to_repair_locked(OutMessage& entry);
-  /// Sleep the retry backoff for `attempt` (1-based), waking early on stop.
-  void retry_backoff(ReplicaLink& link, std::size_t attempt);
-  /// Reactor-mode timed wait: park on a gate until the timer wheel fires
-  /// it at `deadline`, or stop/reattach cancels it.  The wheel callback
-  /// captures only the gate (never the engine), so a timer outliving the
-  /// engine is a notify into the void, not a use-after-free.
-  void reactor_wait_until(std::chrono::steady_clock::time_point deadline);
-  /// Wake every parked gate (mutex_ held).  Gates are single-use, so a
-  /// cancelled waiter simply re-checks link state and re-arms if needed.
-  void cancel_gates_locked();
+  /// Degraded-link wait: park on queue_cv_ until next_heal (stop or a
+  /// reattach ends it early), then run one attempt_heal.  False once the
+  /// engine is stopping.
+  bool heal_when_due(ReplicaLink* link);
   /// Degraded-link recovery: reconnect, locate the replica (kHello), fold
   /// the trap log over the outage, ship it, rejoin the steady-state path.
   void attempt_heal(ReplicaLink* link);
@@ -638,17 +645,60 @@ class PrinsEngine final : public BlockDevice {
   /// Build and enqueue the kWrite message for one block (shard lock held).
   Status replicate_block(WriteShard& shard, Lba lba, ByteSpan new_block,
                          ByteSpan delta, std::size_t dirty);
-  Status send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
-                             MessageKind expect_ack_of);
+  /// Send one repair/resync write and require the replica's ACK.
+  Status send_and_ack_locked(ReplicaLink& link, ReplicationMessage& message);
   /// Flat per-block verify+repair of one range on one link (link mutex
   /// must be held).  Adds repaired blocks to `repaired`.
   Status flat_verify_locked(ReplicaLink& link, Lba start, std::uint64_t count,
                             std::uint64_t& repaired);
 
-  // ---- Reactor-driven sender path (config.reactor_senders) -------------
+  // ---- Round machine (both drivers; link mutex held throughout) --------
+  /// Pop the outbox front, retiring its fold slot (mutex_ held).
+  OutMessage pop_outbox_locked(ReplicaLink* link);
+  /// Open a round of up to pipeline_depth entries and transmit it; on a
+  /// sticky-dead link, drop queued traffic instead.
+  void pump_link_locked(ReplicaLink* link);
+  /// Start an attempt: send the round's un-acked entries and arm the
+  /// op_timeout deadline.  Enters with mutex_ held via `lock`; releases it.
+  void transmit_round_locked(ReplicaLink* link,
+                             std::unique_lock<std::mutex>& lock);
+  /// Settle decoded replies (ACK / kAckBatch / NAK; an error is a torn
+  /// frame) against the open round, then close it, schedule a retransmit,
+  /// or advance the watermark — once for the whole span (the reactor
+  /// feeds one reply, the threaded driver an attempt's gathered ACKs).
+  void on_link_replies_locked(ReplicaLink* link,
+                              std::span<const Result<MessageView>> replies);
+  /// The connection failed under the link (send/recv error or close).
+  void on_link_lost_locked(ReplicaLink* link, const Status& why);
+  /// Replace the link's transport through the reconnect factory.
+  Status reconnect_locked(ReplicaLink* link);
+  /// The link's deadline passed: op_timeout expiry (kAwaitingAcks) or
+  /// backoff expiry (kBackoff, retransmit).
+  void on_link_timer_locked(ReplicaLink* link);
+  /// The round came back short: count the attempt and either start the
+  /// retry backoff (true) or fail the round (false).  Enters with mutex_
+  /// held via `lock`; releases it.
+  bool round_retry_or_fail(ReplicaLink* link,
+                           std::unique_lock<std::mutex>& lock,
+                           const Status& why);
+  /// Settle the round as delivered: release in_flight, advance the
+  /// watermark, restart the pump.  Enters with mutex_ held via `lock`;
+  /// releases it.
+  void finish_round(ReplicaLink* link, std::unique_lock<std::mutex>& lock);
+  /// Settle the round after an unrecoverable attempt: complete entries
+  /// with their per-entry outcomes and classify the failure (degraded
+  /// self-heal vs. sticky error).  Engine mutex NOT held.
+  void fail_round(ReplicaLink* link, const Status& why);
+  /// Set the link's deadline (on the wheel for reactor-driven links).
+  /// mutex_ held.
+  void arm_link_timer_locked(ReplicaLink* link,
+                             std::chrono::steady_clock::time_point deadline);
+  void cancel_link_timer_locked(ReplicaLink* link);
+
+  // ---- Reactor driver (config.reactor_senders) -------------------------
   /// Install message/close handlers on the link's transport.  False when
-  /// the transport is not a ReactorTcpTransport (callers fall back to a
-  /// threaded sender).  Link mutex must be held (or the link not yet
+  /// the transport is not a ReactorTcpTransport (callers fall back to the
+  /// threaded driver).  Link mutex must be held (or the link not yet
   /// published).
   bool install_reactor_link(ReplicaLink* link);
   /// Uninstall both handlers so an engine-initiated close (or a heal's
@@ -657,47 +707,13 @@ class PrinsEngine final : public BlockDevice {
   /// Post a pump for this link unless one is queued or the link cannot
   /// make progress (mutex_ held).
   void schedule_pump_locked(ReplicaLink* link);
-  /// Pop up to pipeline_depth entries into a round and transmit it; on a
-  /// sticky-dead link, drop queued traffic instead (sender_main's
-  /// already_failed path).  Runs under the sender guard.
-  void pump_link(ReplicaLink* link);
-  /// Message-handler fan-in: ACK / kAckBatch / NAK processing for the
-  /// open round, closing it or scheduling a retransmit.
-  void on_link_reply(ReplicaLink* link, Bytes reply);
-  /// Close-handler fan-in: the connection died under the link.
-  void on_link_closed(ReplicaLink* link, const Status& why);
-  /// Wheel-timer fan-in: op_timeout expiry (kAwaitingAcks) or backoff
-  /// expiry (kBackoff).
-  void on_link_timer(ReplicaLink* link);
-  /// Retransmit the round's un-acked entries (link mutex held, engine
-  /// mutex not held).
-  void resend_round(ReplicaLink* link);
-  /// The round came back short: apply exchange_batch_locked's attempt
-  /// bookkeeping and either arm the backoff timer or fail the round.
-  /// Enters with mutex_ held via `lock` (and the link mutex held);
-  /// releases mutex_.
-  void round_retry_or_fail(ReplicaLink* link,
-                           std::unique_lock<std::mutex>& lock,
-                           const Status& why);
-  /// Settle the round as delivered: release in_flight, advance the
-  /// watermark, restart the pump.  Enters with mutex_ held via `lock`
-  /// (and the link mutex held); releases mutex_.
-  void finish_round(ReplicaLink* link, std::unique_lock<std::mutex>& lock);
-  /// Settle the round after an unrecoverable attempt: complete entries
-  /// with their per-entry outcomes and run sender_main's failure
-  /// classification (degraded self-heal vs. sticky error).  Link mutex
-  /// held, engine mutex NOT held.
-  void fail_round(ReplicaLink* link, const Status& why);
-  void arm_link_timer_locked(ReplicaLink* link,
-                             std::chrono::steady_clock::time_point deadline);
-  void cancel_link_timer_locked(ReplicaLink* link);
-  /// Transient heal thread for a degraded reactor-driven link: waits out
-  /// next_heal on the wheel, runs attempt_heal until the link recovers,
-  /// then rejoins the reactor path (or becomes the threaded sender if the
-  /// reconnect factory produced a non-reactor transport).
+  /// Transient heal thread for a degraded reactor-driven link: runs
+  /// heal_when_due until the link recovers, then rejoins the reactor path
+  /// (or becomes the threaded driver if the reconnect factory produced a
+  /// non-reactor transport).
   void heal_main(ReplicaLink* link);
   /// Reinstall handlers and restart the pump after a heal.  False when
-  /// the link must revert to a threaded sender.
+  /// the link must revert to the threaded driver.
   bool rejoin_reactor_link(ReplicaLink* link);
   /// Park the reactor machinery (wait out the open round, uninstall the
   /// message handler) so a blocking request/reply operator exchange can
@@ -706,9 +722,9 @@ class PrinsEngine final : public BlockDevice {
   void end_link_exclusive(ReplicaLink* link);
   /// RAII wrapper over begin/end_link_exclusive.
   class LinkExclusive;
-  /// The backoff delay before retry `attempt` (1-based) — the same
-  /// exponential-plus-jitter schedule retry_backoff() sleeps.  Link mutex
-  /// must be held (jitter state).
+  /// The backoff delay before retry `attempt` (1-based): exponential plus
+  /// jitter, shared by round retries and heal attempts.  Link mutex must
+  /// be held (jitter state).
   std::chrono::steady_clock::duration retry_delay(ReplicaLink& link,
                                                   std::size_t attempt);
 
@@ -763,16 +779,6 @@ class PrinsEngine final : public BlockDevice {
   std::atomic<bool> stopping_{false};  // set under mutex_; read lock-free
   Status worker_error_;  // first replication failure, surfaced by drain()
 
-  // Reactor-timer gates (config_.reactor mode): one per in-progress
-  // backoff/heal wait, registered here so stop/reattach can cancel them.
-  struct TimerGate {
-    std::mutex m;
-    std::condition_variable cv;
-    bool fired = false;
-    bool cancelled = false;
-  };
-  std::vector<std::shared_ptr<TimerGate>> gates_;  // guarded by mutex_
-
   /// Lifetime fence for reactor-sender callbacks.  Message/close
   /// handlers, wheel timers, and posted pumps capture this guard (never a
   /// bare `this`) and hold its lock for their whole run; the destructor
@@ -786,6 +792,12 @@ class PrinsEngine final : public BlockDevice {
     PrinsEngine* engine = nullptr;
   };
   std::shared_ptr<SenderGuard> sender_guard_;
+  /// Run one reactor-driver event for `link` under the guard (a no-op once
+  /// the engine is gone) and the link mutex, unless a heal thread owns the
+  /// link.  `handler` receives the engine.
+  template <typename Handler>
+  static void on_link_event(const std::shared_ptr<SenderGuard>& guard,
+                            ReplicaLink* link, Handler&& handler);
 
   // Sequences distributed but not yet completed by every link, ordered so
   // the journal watermark is the smallest outstanding sequence minus one.

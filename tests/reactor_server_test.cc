@@ -1,8 +1,9 @@
 // Tests for the thread-free node: ReactorReplicaServer (many initiators,
 // one shared apply pipeline), ReactorIscsiServer (actor-per-session PDU
 // serving), the reactor-driven engine senders (EngineConfig::
-// reactor_senders), the concurrent replica_serve_in_background accept
-// loop, and the validated PRINS_* env knob parser.  Everything here runs
+// reactor_senders) and the sender-driver sweeps (duplicate ACKs, drops,
+// parity, stop and reattach), the concurrent replica_serve_in_background
+// accept loop, and the validated PRINS_* env knob parser.  Everything here runs
 // under the `reactor` ctest label, so the CI sanitizer matrix (ASan/TSan)
 // sweeps it.
 #include <gtest/gtest.h>
@@ -12,8 +13,11 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "block/faulty_disk.h"
+#include "block/integrity_disk.h"
 #include "block/mem_disk.h"
 #include "codec/codec.h"
 #include "common/crc32c.h"
@@ -1028,6 +1032,447 @@ TEST(ReactorSenderTest, VerifyAndRepairParksTheSenderExclusively) {
   }
   engine.reset();
   (*server)->stop();
+}
+
+// ---- one round machine, two drivers ----------------------------------------
+
+// Sanitizer instrumentation slows the reply path ~10x; stretch the reply
+// deadline so only the injected faults, never the scheduler, are in play.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr int kTimingScale = 10;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr int kTimingScale = 10;
+#else
+constexpr int kTimingScale = 1;
+#endif
+#else
+constexpr int kTimingScale = 1;
+#endif
+
+enum class SenderDriver { kThreaded, kReactor };
+
+const char* driver_name(SenderDriver driver) {
+  return driver == SenderDriver::kThreaded ? "Threaded" : "Reactor";
+}
+
+// One primary engine and one replica, linked through either sender driver:
+// threaded over an in-proc link served by replica_serve_in_background, or
+// reactor-driven over a ReactorTcpTransport into a ReactorReplicaServer.
+// `faults` wraps the primary's end of the link.
+struct DriverRig {
+  static constexpr std::uint32_t kBs = 1024;
+  static constexpr std::uint64_t kBlocks = 64;
+
+  std::shared_ptr<MemDisk> primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  std::shared_ptr<ReplicaEngine> replica;
+  InprocNetwork network;
+  std::shared_ptr<Listener> listener;
+  std::thread server;
+  std::shared_ptr<ReactorPool> pool;
+  std::unique_ptr<ReactorReplicaServer> reactor_server;
+  std::shared_ptr<Reactor> reactor;
+  std::unique_ptr<PrinsEngine> engine;
+
+  DriverRig(SenderDriver driver, std::shared_ptr<BlockDevice> replica_disk,
+            EngineConfig config, FaultConfig faults) {
+    replica = std::make_shared<ReplicaEngine>(std::move(replica_disk));
+    if (config.retry.op_timeout.count() == 0) {
+      config.retry.op_timeout = std::chrono::milliseconds(2000 * kTimingScale);
+    }
+    std::unique_ptr<Transport> link;
+    if (driver == SenderDriver::kThreaded) {
+      auto listening = network.listen("replica");
+      EXPECT_TRUE(listening.is_ok());
+      listener = std::shared_ptr<Listener>(std::move(*listening));
+      server = replica_serve_in_background(replica, listener);
+      auto raw = network.connect("replica");
+      EXPECT_TRUE(raw.is_ok());
+      link = std::move(*raw);
+    } else {
+      auto created = ReactorPool::create(1);
+      EXPECT_TRUE(created.is_ok());
+      pool = *created;
+      auto started = ReactorReplicaServer::start(replica, pool);
+      EXPECT_TRUE(started.is_ok());
+      reactor_server = std::move(*started);
+      auto loop = Reactor::create();
+      EXPECT_TRUE(loop.is_ok());
+      reactor = *loop;
+      config.reactor = reactor;
+      config.reactor_senders = true;
+      auto raw = ReactorTcpTransport::connect(reactor, "127.0.0.1",
+                                              reactor_server->port());
+      EXPECT_TRUE(raw.is_ok());
+      link = std::move(*raw);
+    }
+    engine = std::make_unique<PrinsEngine>(primary, config);
+    engine->add_replica(
+        std::make_unique<FaultyTransport>(std::move(link), faults));
+  }
+
+  DriverRig(const DriverRig&) = delete;
+  DriverRig& operator=(const DriverRig&) = delete;
+
+  ~DriverRig() {
+    engine.reset();
+    if (listener != nullptr) listener->close();
+    if (server.joinable()) server.join();
+    if (reactor_server != nullptr) reactor_server->stop();
+  }
+};
+
+struct DuplicateCase {
+  SenderDriver driver;
+  double duplicate_p;
+  std::size_t depth;
+  std::uint64_t seed;
+};
+
+void PrintTo(const DuplicateCase& c, std::ostream* os) {
+  *os << driver_name(c.driver) << " duplicate_p=" << c.duplicate_p
+      << " depth=" << c.depth << " seed=" << c.seed;
+}
+
+class SenderDriverTest : public ::testing::TestWithParam<DuplicateCase> {};
+
+TEST_P(SenderDriverTest, DuplicatedAcksNeitherRetryNorConfuseOperators) {
+  // Duplicated deliveries leave stale ACKs behind: the second answer to an
+  // entry of this round, or answers to an earlier round.  Neither may count
+  // toward a round's coverage (that retransmits early, and on the threaded
+  // driver snowballs into a sticky "replies incomplete" failure),
+  // and neither may be read as the answer to an operator exchange.
+  const DuplicateCase& p = GetParam();
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = p.depth;
+  FaultConfig faults;
+  faults.duplicate_p = p.duplicate_p;
+  faults.seed = p.seed;
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(p.driver, replica_disk, config, faults);
+
+  Rng rng(p.seed);
+  Bytes block(DriverRig::kBs);
+  for (int i = 0; i < 200; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE(
+        rig.engine->write(rng.next_below(DriverRig::kBlocks), block).is_ok());
+  }
+  const Status drained = rig.engine->drain();
+  ASSERT_TRUE(drained.is_ok()) << drained.to_string();
+  auto repaired = rig.engine->verify_and_repair(0, DriverRig::kBlocks);
+  ASSERT_TRUE(repaired.is_ok()) << repaired.status().to_string();
+  EXPECT_EQ(*repaired, 0u);
+  Bytes want(DriverRig::kBs), got(DriverRig::kBs);
+  for (Lba lba = 0; lba < DriverRig::kBlocks; ++lba) {
+    ASSERT_TRUE(rig.primary->read(lba, want).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, got).is_ok());
+    ASSERT_EQ(want, got) << "diverged at lba " << lba;
+  }
+  EXPECT_EQ(rig.engine->metrics().retries, 0u);
+}
+
+std::vector<DuplicateCase> duplicate_cases() {
+  std::vector<DuplicateCase> cases;
+  for (SenderDriver driver :
+       {SenderDriver::kThreaded, SenderDriver::kReactor}) {
+    for (double duplicate_p : {0.01, 0.05}) {
+      for (std::size_t depth : {1, 8}) {
+        for (std::uint64_t s = 0; s < 10; ++s) {
+          cases.push_back(DuplicateCase{driver, duplicate_p, depth, 1000 + s});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, SenderDriverTest, ::testing::ValuesIn(duplicate_cases()),
+    [](const ::testing::TestParamInfo<DuplicateCase>& info) {
+      return std::string(driver_name(info.param.driver)) + "Dup" +
+             std::to_string(static_cast<int>(info.param.duplicate_p * 100)) +
+             "Depth" + std::to_string(info.param.depth) + "Seed" +
+             std::to_string(info.param.seed);
+    });
+
+// What one scripted stream did to the engine and its replica.
+struct DriverOutcome {
+  ErrorCode rotted_drain = ErrorCode::kOk;
+  ErrorCode fenced_drain = ErrorCode::kOk;
+  ErrorCode write_after_fence = ErrorCode::kOk;
+  std::uint64_t nak_full_repairs = 0;
+  std::uint64_t stale_epoch_naks = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t acks = 0;
+  std::vector<Bytes> replica_blocks;
+};
+
+DriverOutcome run_driver_stream(SenderDriver driver) {
+  DriverOutcome out;
+  auto replica_mem =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  auto replica_faulty =
+      std::make_shared<FaultyDisk>(replica_mem, FaultyDisk::Config{});
+  auto opened = IntegrityDisk::open(replica_faulty);
+  EXPECT_TRUE(opened.is_ok());
+  std::shared_ptr<IntegrityDisk> replica_disk = std::move(*opened);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.keep_trap_log = true;  // lets a kNeedFullBlock NAK become a repair
+  config.pipeline_depth = 4;
+  DriverRig rig(driver, replica_disk, config, FaultConfig{});
+
+  Rng rng(77);
+  Bytes block(DriverRig::kBs);
+  for (Lba lba = 0; lba < DriverRig::kBlocks; ++lba) {
+    rng.fill(block);
+    EXPECT_TRUE(rig.engine->write(lba, block).is_ok());
+  }
+  EXPECT_TRUE(rig.engine->drain().is_ok());
+
+  // Rot the replica's stored copy of block 7: the next parity delta cannot
+  // apply there (kNeedFullBlock NAK) and is resent as a full-block repair.
+  EXPECT_TRUE(replica_faulty->corrupt_block(7, 42).is_ok());
+  rng.fill(block);
+  EXPECT_TRUE(rig.engine->write(7, block).is_ok());
+  out.rotted_drain = rig.engine->drain().code();
+
+  // The replica is promoted: this engine is now a zombie, fenced on its
+  // next frame, and the failure sticks.
+  auto successor = rig.replica->promote(EngineConfig{});
+  EXPECT_TRUE(successor.is_ok()) << successor.status().to_string();
+  rng.fill(block);
+  EXPECT_TRUE(rig.engine->write(3, block).is_ok());
+  out.fenced_drain = rig.engine->drain().code();
+  out.write_after_fence = rig.engine->write(4, block).code();
+
+  const EngineMetrics m = rig.engine->metrics();
+  out.nak_full_repairs = m.nak_full_repairs;
+  out.stale_epoch_naks = m.stale_epoch_naks;
+  out.retries = m.retries;
+  out.acks = m.acks;
+  for (Lba lba = 0; lba < DriverRig::kBlocks; ++lba) {
+    Bytes stored(DriverRig::kBs);
+    EXPECT_TRUE(replica_mem->read(lba, stored).is_ok());
+    out.replica_blocks.push_back(std::move(stored));
+  }
+  return out;
+}
+
+TEST(SenderDriverParityTest, BothDriversSettleOneStreamAlike) {
+  // The same frames through both drivers — clean writes, a NAK'd delta
+  // turned full-block repair, then a stale-epoch fence — must end alike:
+  // same statuses, same counters, same replica bytes.
+  const DriverOutcome threaded = run_driver_stream(SenderDriver::kThreaded);
+  const DriverOutcome reactor = run_driver_stream(SenderDriver::kReactor);
+  for (const DriverOutcome* o : {&threaded, &reactor}) {
+    EXPECT_EQ(o->rotted_drain, ErrorCode::kOk);
+    EXPECT_EQ(o->fenced_drain, ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(o->write_after_fence, ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(o->nak_full_repairs, 1u);
+    EXPECT_EQ(o->stale_epoch_naks, 1u);
+    // The NAK'd round retransmits at least once (again if the writer still
+    // held the block's stripe when the NAK arrived and the swap waited).
+    EXPECT_GE(o->retries, 1u);
+    EXPECT_EQ(o->acks, DriverRig::kBlocks + 1);
+  }
+  EXPECT_EQ(reactor.replica_blocks, threaded.replica_blocks);
+}
+
+bool devices_equal(BlockDevice& a, BlockDevice& b) {
+  Bytes x(a.block_size()), y(b.block_size());
+  for (Lba lba = 0; lba < a.num_blocks(); ++lba) {
+    if (!a.read(lba, x).is_ok() || !b.read(lba, y).is_ok() || x != y) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class SenderDriverLossTest
+    : public ::testing::TestWithParam<std::tuple<SenderDriver, std::uint64_t>> {
+};
+
+TEST_P(SenderDriverLossTest, DropsAndDuplicatesConvergeAndOperatorsSkipStale) {
+  // Drops force timeouts and retransmits; duplicates leave second answers
+  // behind.  Every resend of a round entry can come back twice, so the
+  // link can carry many stale frames when verify_and_repair starts: its
+  // exchanges must skip them all (until op_timeout) and find their own.
+  const auto [driver, seed] = GetParam();
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = 8;
+  config.retry.max_attempts = 8;
+  config.retry.base_backoff = 1ms;
+  config.retry.max_backoff = 20ms;
+  config.retry.op_timeout = std::chrono::milliseconds(50 * kTimingScale);
+  FaultConfig faults;
+  faults.drop_p = 0.05;
+  faults.duplicate_p = 0.05;
+  faults.seed = seed;
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(driver, replica_disk, config, faults);
+
+  Rng rng(seed);
+  Bytes block(DriverRig::kBs);
+  for (int i = 0; i < 200; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE(
+        rig.engine->write(rng.next_below(DriverRig::kBlocks), block).is_ok());
+  }
+  const Status drained = rig.engine->drain();
+  ASSERT_TRUE(drained.is_ok()) << drained.to_string();
+  EXPECT_GT(rig.engine->metrics().retries, 0u);  // the drops were felt
+  // Operator exchanges do not retry, so a dropped request times out; only
+  // that may fail, and a second pass must then find the same nothing.
+  bool verified = false;
+  for (int pass = 0; pass < 10 && !verified; ++pass) {
+    auto repaired = rig.engine->verify_and_repair(0, DriverRig::kBlocks);
+    if (!repaired.is_ok()) {
+      ASSERT_EQ(repaired.status().code(), ErrorCode::kTimeout)
+          << repaired.status().to_string();
+      continue;
+    }
+    EXPECT_EQ(*repaired, 0u);
+    verified = true;
+  }
+  EXPECT_TRUE(verified);
+  EXPECT_TRUE(devices_equal(*rig.primary, *replica_disk));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, SenderDriverLossTest,
+    ::testing::Combine(::testing::Values(SenderDriver::kThreaded,
+                                         SenderDriver::kReactor),
+                       ::testing::Values(2000u, 2001u, 2002u)),
+    [](const auto& info) {
+      return std::string(driver_name(std::get<0>(info.param))) + "Seed" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// A threaded link whose every frame is dropped, with retry and heal
+// backoffs far longer than any test bound: only a stop or a reattach can
+// end its waits early.
+EngineConfig dead_link_config() {
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.retry.op_timeout = std::chrono::milliseconds(20 * kTimingScale);
+  config.retry.base_backoff = 60s;
+  config.retry.max_backoff = 60s;
+  return config;
+}
+
+FaultConfig drop_everything() {
+  FaultConfig faults;
+  faults.drop_p = 1.0;
+  return faults;
+}
+
+// Degrade a threaded link: its one round fails at once (max_attempts 0),
+// and the heal's reconnect fails, so the sender parks in heal_when_due
+// for the 60 s heal backoff.  Returns once the heal has failed.
+void park_in_heal_wait(DriverRig& rig, const std::atomic<int>& reconnects) {
+  Bytes block(DriverRig::kBs, 0x5a);
+  ASSERT_TRUE(rig.engine->write(1, block).is_ok());
+  ASSERT_TRUE(await([&] { return reconnects.load() >= 1; }));
+  // heal_failed() sets the heal deadline just after the factory returns.
+  std::this_thread::sleep_for(50ms);
+}
+
+EngineConfig healing_dead_link_config(std::atomic<int>& reconnects) {
+  EngineConfig config = dead_link_config();
+  config.keep_trap_log = true;
+  config.retry.max_attempts = 0;
+  config.reconnect =
+      [&reconnects](std::size_t) -> Result<std::unique_ptr<Transport>> {
+    reconnects.fetch_add(1);
+    return unavailable("replica unreachable");
+  };
+  return config;
+}
+
+TEST(SenderDriverStopTest, DestructorCutsAThreadedRetryBackoffShort) {
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(SenderDriver::kThreaded, replica_disk, dead_link_config(),
+                drop_everything());
+  Bytes block(DriverRig::kBs, 0x11);
+  ASSERT_TRUE(rig.engine->write(0, block).is_ok());
+  // The first attempt timed out: the round now sleeps a 60 s backoff.
+  ASSERT_TRUE(await([&] { return rig.engine->metrics().retries >= 1; }));
+  const auto start = std::chrono::steady_clock::now();
+  rig.engine.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+}
+
+TEST(SenderDriverStopTest, DestructorCutsAThreadedHealWaitShort) {
+  std::atomic<int> reconnects{0};
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(SenderDriver::kThreaded, replica_disk,
+                healing_dead_link_config(reconnects), drop_everything());
+  park_in_heal_wait(rig, reconnects);
+  const auto start = std::chrono::steady_clock::now();
+  rig.engine.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+}
+
+TEST(SenderDriverStopTest, ReattachCutsAThreadedHealWaitShort) {
+  std::atomic<int> reconnects{0};
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(SenderDriver::kThreaded, replica_disk,
+                healing_dead_link_config(reconnects), drop_everything());
+  park_in_heal_wait(rig, reconnects);
+  // A write while degraded is held for the heal.
+  Bytes block(DriverRig::kBs, 0x22);
+  ASSERT_TRUE(rig.engine->write(2, block).is_ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  auto fresh = rig.network.connect("replica");
+  ASSERT_TRUE(fresh.is_ok());
+  ASSERT_TRUE(rig.engine->reattach_replica(0, std::move(*fresh)).is_ok());
+  const Status drained = rig.engine->drain();
+  ASSERT_TRUE(drained.is_ok()) << drained.to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+  // The held write went out on the fresh link; the one the failed round
+  // dropped comes back through the operator repair reattach asks for.
+  auto repaired = rig.engine->verify_and_repair(0, DriverRig::kBlocks);
+  ASSERT_TRUE(repaired.is_ok()) << repaired.status().to_string();
+  EXPECT_EQ(*repaired, 1u);
+  EXPECT_TRUE(devices_equal(*rig.primary, *replica_disk));
+}
+
+TEST(SenderDriverStopTest, ReattachDuringAThreadedRetryBackoffTakesOver) {
+  // The threaded driver holds the link mutex for the whole round, so a
+  // reattach waits for the round to run out its attempts, then swaps the
+  // transport; the link must come back, not hang or stay failed.
+  EngineConfig config = dead_link_config();
+  config.retry.base_backoff = std::chrono::milliseconds(50 * kTimingScale);
+  config.retry.max_backoff = config.retry.base_backoff;
+  config.retry.max_attempts = 2;
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(SenderDriver::kThreaded, replica_disk, config,
+                drop_everything());
+  Bytes block(DriverRig::kBs, 0x33);
+  ASSERT_TRUE(rig.engine->write(3, block).is_ok());
+  ASSERT_TRUE(await([&] { return rig.engine->metrics().retries >= 1; }));
+
+  auto fresh = rig.network.connect("replica");
+  ASSERT_TRUE(fresh.is_ok());
+  ASSERT_TRUE(rig.engine->reattach_replica(0, std::move(*fresh)).is_ok());
+  ASSERT_TRUE(rig.engine->drain().is_ok());
+  ASSERT_TRUE(rig.engine->write(4, block).is_ok());
+  ASSERT_TRUE(rig.engine->drain().is_ok());
+  auto repaired = rig.engine->verify_and_repair(0, DriverRig::kBlocks);
+  ASSERT_TRUE(repaired.is_ok()) << repaired.status().to_string();
+  EXPECT_EQ(*repaired, 1u);  // the write the failed round dropped
+  EXPECT_TRUE(devices_equal(*rig.primary, *replica_disk));
 }
 
 // ---- PRINS_* env knob validation -------------------------------------------
