@@ -1,9 +1,7 @@
 #include "iscsi/reactor_target.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <thread>
+#include <future>
 #include <vector>
 
 #include "common/logging.h"
@@ -11,42 +9,27 @@
 namespace prins::iscsi {
 
 struct ReactorIscsiServer::Impl : std::enable_shared_from_this<Impl> {
-  /// One connection-actor: frames queue here, and at most one worker at a
-  /// time drives the session's PDU state machine (`running`).
   struct Conn {
     std::shared_ptr<Transport> transport;
     ReactorTcpTransport* rt = nullptr;
+    // Session-loop only: the handler is the sole reader and writer.
     IscsiTarget::Session session;
-
-    std::mutex m;
-    std::deque<Bytes> frames;
-    bool running = false;
-    bool paused = false;
-    bool dead = false;
+    bool ended = false;  // logout or a fatal error closed the connection
   };
 
   Impl(std::shared_ptr<IscsiTarget> t, std::shared_ptr<ReactorPool> p,
        const ReactorIscsiServerOptions& opts)
-      : target(std::move(t)), pool(std::move(p)), options(opts) {
-    if (options.worker_threads == 0) options.worker_threads = 1;
-    if (options.max_queued_frames == 0) options.max_queued_frames = 1;
-  }
+      : target(std::move(t)), pool(std::move(p)), options(opts) {}
 
-  std::shared_ptr<IscsiTarget> target;
-  std::shared_ptr<ReactorPool> pool;
+  std::shared_ptr<IscsiTarget> target;  // released by stop()
+  std::shared_ptr<ReactorPool> pool;    // the caller's: accepts here
+  std::shared_ptr<ReactorPool> session_loops;  // ours: connections live here
   ReactorIscsiServerOptions options;
   std::unique_ptr<ReactorListener> listener;
 
-  std::mutex jobs_m;
-  std::condition_variable jobs_cv;
-  std::deque<std::shared_ptr<Conn>> jobs;
-  bool jobs_closed = false;
-  std::vector<std::thread> workers;
-
-  mutable std::mutex sessions_mutex;
+  mutable std::mutex mutex;
   std::vector<std::shared_ptr<Conn>> conns;
-  bool stopping = false;
-  bool joined = false;
+  bool stopped = false;
 
   // ---- accept path (listener loop thread) -----------------------------------
 
@@ -59,125 +42,49 @@ struct ReactorIscsiServer::Impl : std::enable_shared_from_this<Impl> {
     auto conn = std::make_shared<Conn>();
     conn->transport = std::shared_ptr<Transport>(std::move(transport));
     conn->rt = rt;
-    {
-      std::lock_guard lock(sessions_mutex);
-      if (stopping) {
-        conn->transport->close();
-        return;
-      }
-      conns.push_back(conn);
-    }
     auto self = shared_from_this();
+    // Install under `mutex` so a racing stop() either sees this connection
+    // (and clears its handlers) or turns it away here.
+    std::lock_guard lock(mutex);
+    if (stopped) {
+      conn->transport->close();
+      return;
+    }
+    conns.push_back(conn);
     rt->set_close_handler([self, conn](const Status& why) {
       self->on_disconnect(conn, why);
     });
     rt->set_message_handler([self, conn](Bytes&& message) {
-      self->on_message(conn, std::move(message));
+      self->on_message(*conn, message);
     });
   }
+
+  // ---- session loop thread ----------------------------------------------------
 
   void on_disconnect(const std::shared_ptr<Conn>& conn, const Status& why) {
     if (!why.is_ok() && why.code() != ErrorCode::kUnavailable) {
       PRINS_LOG(kWarn) << "iSCSI session ended: " << why.to_string();
     }
-    {
-      std::lock_guard lock(conn->m);
-      conn->dead = true;
-      conn->frames.clear();
-    }
     // Break the connection->handler->conn reference cycle.
     conn->rt->set_message_handler(nullptr);
-    std::lock_guard lock(sessions_mutex);
+    std::lock_guard lock(mutex);
     conns.erase(std::remove(conns.begin(), conns.end(), conn), conns.end());
   }
 
-  // ---- frame fan-in (connection loop thread; must never block) --------------
-
-  void on_message(const std::shared_ptr<Conn>& conn, Bytes&& message) {
-    bool schedule = false;
-    {
-      std::lock_guard lock(conn->m);
-      if (conn->dead) return;
-      conn->frames.push_back(std::move(message));
-      if (!conn->paused && conn->frames.size() >= options.max_queued_frames) {
-        conn->paused = true;
-        conn->rt->set_read_paused(true);
-      }
-      if (!conn->running) {
-        conn->running = true;
-        schedule = true;
-      }
+  /// One PDU, run to completion on the connection's session loop.
+  void on_message(Conn& conn, ByteSpan message) {
+    if (conn.ended) return;  // frames queued behind a logout or an error
+    bool done = false;
+    const Status s =
+        target->handle_frame(*conn.transport, conn.session, message, &done);
+    if (s.is_ok() && !done) return;
+    if (!s.is_ok() && s.code() != ErrorCode::kUnavailable) {
+      PRINS_LOG(kWarn) << "iSCSI session ended with error: " << s.to_string();
     }
-    if (schedule) enqueue_job(conn);
-  }
-
-  void enqueue_job(const std::shared_ptr<Conn>& conn) {
-    {
-      std::lock_guard lock(jobs_m);
-      if (jobs_closed) return;
-      jobs.push_back(conn);
-    }
-    jobs_cv.notify_one();
-  }
-
-  // ---- worker pool ----------------------------------------------------------
-
-  void worker_loop() {
-    for (;;) {
-      std::shared_ptr<Conn> conn;
-      {
-        std::unique_lock lock(jobs_m);
-        jobs_cv.wait(lock, [&] { return !jobs.empty() || jobs_closed; });
-        if (jobs.empty()) return;  // closed and drained
-        conn = std::move(jobs.front());
-        jobs.pop_front();
-      }
-      drive(conn);
-    }
-  }
-
-  /// Drain one session's frame queue.  Only one worker runs this per
-  /// session at a time (`running`), so PDU handling — including the
-  /// PendingWrite data phase — stays serialized per connection.
-  void drive(const std::shared_ptr<Conn>& conn) {
-    for (;;) {
-      Bytes frame;
-      {
-        std::lock_guard lock(conn->m);
-        if (conn->dead || conn->frames.empty()) {
-          conn->running = false;
-          maybe_resume_locked(*conn);
-          return;
-        }
-        frame = std::move(conn->frames.front());
-        conn->frames.pop_front();
-        maybe_resume_locked(*conn);
-      }
-      bool done = false;
-      Status s =
-          target->handle_frame(*conn->transport, conn->session, frame, &done);
-      if (s.is_ok() && !done) continue;
-      if (!s.is_ok() && s.code() != ErrorCode::kUnavailable) {
-        PRINS_LOG(kWarn) << "iSCSI session ended with error: "
-                         << s.to_string();
-      }
-      // Logout or a fatal protocol/send error: close the connection (the
-      // close handler reaps the session from the server's list).
-      conn->transport->close();
-      std::lock_guard lock(conn->m);
-      conn->dead = true;
-      conn->frames.clear();
-      conn->running = false;
-      return;
-    }
-  }
-
-  /// `conn.m` held.
-  void maybe_resume_locked(Conn& conn) {
-    if (!conn.paused || conn.dead) return;
-    if (conn.frames.size() > options.max_queued_frames / 2) return;
-    conn.paused = false;
-    conn.rt->set_read_paused(false);
+    // Logout or a fatal protocol/send error: close the connection (the
+    // close handler reaps the session from the server's list).
+    conn.ended = true;
+    conn.transport->close();
   }
 
   // ---- lifecycle ------------------------------------------------------------
@@ -185,38 +92,29 @@ struct ReactorIscsiServer::Impl : std::enable_shared_from_this<Impl> {
   void stop() {
     std::vector<std::shared_ptr<Conn>> snapshot;
     {
-      std::lock_guard lock(sessions_mutex);
-      if (stopping && joined) return;
-      stopping = true;
+      std::lock_guard lock(mutex);
+      if (stopped) return;
+      stopped = true;
       snapshot.swap(conns);
     }
     if (listener) listener->close();
     for (auto& conn : snapshot) {
       conn->rt->set_close_handler(nullptr);
       conn->rt->set_message_handler(nullptr);
-      {
-        std::lock_guard lock(conn->m);
-        conn->dead = true;
-        conn->frames.clear();
-      }
       conn->transport->close();
     }
-    {
-      std::lock_guard lock(jobs_m);
-      jobs_closed = true;
+    // A handler cleared above may still be mid-PDU (say, blocked in the
+    // device).  Loops run posted closures in order after the callback in
+    // hand, so once a barrier has run on every session loop, no handler is
+    // running and none will start.
+    for (std::size_t i = 0; i < session_loops->size(); ++i) {
+      std::promise<void> passed;
+      session_loops->at(i).post([&passed] { passed.set_value(); });
+      passed.get_future().wait();
     }
-    jobs_cv.notify_all();
-    bool join_here = false;
-    {
-      std::lock_guard lock(sessions_mutex);
-      if (!joined) {
-        joined = true;
-        join_here = true;
-      }
-    }
-    if (join_here) {
-      for (std::thread& worker : workers) worker.join();
-    }
+    // The target co-owns the device (often an engine): let the caller's
+    // teardown destroy it while this server object still exists.
+    target.reset();
   }
 };
 
@@ -231,12 +129,12 @@ Result<std::unique_ptr<ReactorIscsiServer>> ReactorIscsiServer::start(
   auto impl =
       std::make_shared<Impl>(std::move(target), std::move(pool), options);
   PRINS_ASSIGN_OR_RETURN(
-      impl->listener,
-      ReactorListener::listen(impl->pool, options.port, options.transport));
-  impl->workers.reserve(impl->options.worker_threads);
-  for (std::size_t i = 0; i < impl->options.worker_threads; ++i) {
-    impl->workers.emplace_back([impl] { impl->worker_loop(); });
-  }
+      impl->session_loops,
+      ReactorPool::create(std::max<std::size_t>(options.worker_threads, 1)));
+  PRINS_ASSIGN_OR_RETURN(
+      impl->listener, ReactorListener::listen(impl->pool, options.port,
+                                              options.transport,
+                                              impl->session_loops));
   impl->listener->set_accept_handler(
       [weak = std::weak_ptr<Impl>(impl)](std::unique_ptr<Transport> t) {
         if (auto self = weak.lock()) self->on_connect(std::move(t));
@@ -252,7 +150,7 @@ std::uint16_t ReactorIscsiServer::port() const {
 }
 
 std::size_t ReactorIscsiServer::sessions() const {
-  std::lock_guard lock(impl_->sessions_mutex);
+  std::lock_guard lock(impl_->mutex);
   return impl_->conns.size();
 }
 

@@ -4,16 +4,25 @@
 // server instead registers each accepted connection's PDU stream via
 // ReactorTcp::set_message_handler and runs the target's frame state
 // machine (IscsiTarget::handle_frame — one PDU in, replies out, never
-// recv()s) on a small fixed worker pool: N initiators share
-// O(reactor_threads + worker_threads) threads.
+// recv()s) to completion inside that handler: N initiators share
+// O(reactor_threads + worker_threads) threads, and a PDU costs no
+// cross-thread handoff between the thread that reads it and the thread
+// that handles it.
 //
-// Each connection is an actor: its handler appends frames to a
-// per-session queue and schedules the session onto the pool; at most one
-// worker drives a session at a time, so PDU handling stays serialized per
-// connection (the iSCSI session state machine requires it) while distinct
-// initiators proceed in parallel.  Device I/O runs on the workers, never
-// on a loop thread.  A session whose queue backs up has its reads paused
-// (set_read_paused) until the workers catch up.
+// The listener accepts on the caller's pool but places every connection
+// on one of the server's own `worker_threads` session loops.  Handlers
+// block there (device I/O, an engine write waiting for outbox room, a
+// ReadRouter read awaiting a mirror's reply), which is safe only because
+// those loops are private to the server: the engine's reactor senders and
+// the router's read links live on the caller's pool, so the loop that must
+// deliver a blocked session's reply is never the loop that session holds.
+// PDU handling stays serialized per connection (the transport reads
+// nothing more while a handler runs), and the transport's outbox limit
+// pauses reads from an initiator that stops reading replies.
+//
+// The price is pooling: sessions sharing a session loop wait behind one
+// another's device calls, where a shared worker pool let any idle worker
+// take the next PDU.
 #pragma once
 
 #include <cstdint>
@@ -29,16 +38,16 @@ struct ReactorIscsiServerOptions {
   std::uint16_t port = 0;
   /// Per-connection transport options.
   ReactorTcpOptions transport;
-  /// Workers draining session frame queues (device I/O runs here).
+  /// Session loops: reactor threads private to this server that own the
+  /// accepted connections (round-robin) and run each PDU, device I/O
+  /// included, to completion.  0 is treated as 1.
   std::size_t worker_threads = 2;
-  /// Frames a session may queue before its reads pause (resumes at half).
-  std::size_t max_queued_frames = 256;
 };
 
 class ReactorIscsiServer {
  public:
   /// Bind a ReactorListener on `pool` and serve `target` to every
-  /// connection, handler-driven.
+  /// connection, handler-driven on the server's own session loops.
   static Result<std::unique_ptr<ReactorIscsiServer>> start(
       std::shared_ptr<IscsiTarget> target, std::shared_ptr<ReactorPool> pool,
       const ReactorIscsiServerOptions& options = {});
@@ -48,8 +57,10 @@ class ReactorIscsiServer {
   ReactorIscsiServer(const ReactorIscsiServer&) = delete;
   ReactorIscsiServer& operator=(const ReactorIscsiServer&) = delete;
 
-  /// Close the listener and every live connection, then join the workers.
-  /// Idempotent; the destructor calls it.
+  /// Close the listener and every live connection, wait until no PDU
+  /// handler is running, and release the target.  No handler runs after
+  /// stop() returns.  Idempotent; the destructor calls it.  Must not be
+  /// called from a session handler.
   void stop();
 
   /// The bound port (for initiators to connect to).

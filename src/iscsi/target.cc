@@ -299,43 +299,40 @@ Status IscsiTarget::do_write(Transport& transport, Session& session,
     return send_response(transport, session, cmd.itt, kScsiCheckCondition,
                          sense_lba_out_of_range());
   }
+  // Immediate data arrives in the command PDU itself.  When it carries the
+  // whole transfer, the device writes straight from the PDU.
+  const std::uint64_t received =
+      std::min<std::uint64_t>(cmd.data.size(), total);
+  if (received == total) {
+    return land_write(transport, session, cmd.itt, lba,
+                      ByteSpan(cmd.data.data(), total));
+  }
+
+  // Ask for the rest with one R2T covering the remainder, then park the
+  // partial buffer in the session: the data phase completes as Data-Out
+  // PDUs arrive (handle_frame routes them to handle_data_out), so no
+  // nested recv() loop blocks the caller mid-command.
   Bytes buffer(total, 0);
-  // Immediate data arrives in the command PDU itself.
-  std::uint64_t received = std::min<std::uint64_t>(cmd.data.size(), total);
   if (received > 0) std::memcpy(buffer.data(), cmd.data.data(), received);
-
-  if (received < total) {
-    // Ask for the rest with one R2T covering the remainder, then park the
-    // partial buffer in the session: the data phase completes as Data-Out
-    // PDUs arrive (handle_frame routes them to handle_data_out), so no
-    // nested recv() loop blocks the caller mid-command.
-    const std::uint32_t ttt = session.next_ttt++;
-    Pdu r2t;
-    r2t.opcode = Opcode::kR2t;
-    r2t.flags = kFlagFinal;
-    r2t.itt = cmd.itt;
-    r2t.word5 = ttt;
-    r2t.word6 = session.stat_sn;
-    r2t.word7 = session.exp_cmd_sn;
-    r2t.word9 = 0;  // R2TSN
-    r2t.word10 = static_cast<std::uint32_t>(received);       // offset
-    r2t.word11 = static_cast<std::uint32_t>(total - received);  // length
-    PRINS_RETURN_IF_ERROR(transport.send(r2t.encode(session.header_digest)));
-    session.pending.active = true;
-    session.pending.itt = cmd.itt;
-    session.pending.lba = lba;
-    session.pending.total = total;
-    session.pending.received = received;
-    session.pending.buffer = std::move(buffer);
-    return Status::ok();
-  }
-
-  Status s = device_->write(lba, buffer);
-  if (!s.is_ok()) {
-    return send_response(transport, session, cmd.itt, kScsiCheckCondition,
-                         sense_medium_error());
-  }
-  return send_response(transport, session, cmd.itt, kScsiGood);
+  const std::uint32_t ttt = session.next_ttt++;
+  Pdu r2t;
+  r2t.opcode = Opcode::kR2t;
+  r2t.flags = kFlagFinal;
+  r2t.itt = cmd.itt;
+  r2t.word5 = ttt;
+  r2t.word6 = session.stat_sn;
+  r2t.word7 = session.exp_cmd_sn;
+  r2t.word9 = 0;  // R2TSN
+  r2t.word10 = static_cast<std::uint32_t>(received);       // offset
+  r2t.word11 = static_cast<std::uint32_t>(total - received);  // length
+  PRINS_RETURN_IF_ERROR(transport.send(r2t.encode(session.header_digest)));
+  session.pending.active = true;
+  session.pending.itt = cmd.itt;
+  session.pending.lba = lba;
+  session.pending.total = total;
+  session.pending.received = received;
+  session.pending.buffer = std::move(buffer);
+  return Status::ok();
 }
 
 Status IscsiTarget::handle_data_out(Transport& transport, Session& session,
@@ -357,8 +354,13 @@ Status IscsiTarget::handle_data_out(Transport& transport, Session& session,
   const std::uint64_t lba = pending.lba;
   Bytes buffer = std::move(pending.buffer);
   pending = PendingWrite{};
-  Status s = device_->write(lba, buffer);
-  if (!s.is_ok()) {
+  return land_write(transport, session, itt, lba, buffer);
+}
+
+Status IscsiTarget::land_write(Transport& transport, Session& session,
+                               std::uint32_t itt, std::uint64_t lba,
+                               ByteSpan data) {
+  if (!device_->write(lba, data).is_ok()) {
     return send_response(transport, session, itt, kScsiCheckCondition,
                          sense_medium_error());
   }

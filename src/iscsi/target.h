@@ -95,6 +95,9 @@ class IscsiTarget {
   Status do_write(Transport& transport, Session& session,
                   const Pdu& cmd, std::uint64_t lba,
                   std::uint32_t blocks);
+  /// Write a whole transfer to the device and answer the command.
+  Status land_write(Transport& transport, Session& session,
+                    std::uint32_t itt, std::uint64_t lba, ByteSpan data);
   Status send_response(Transport& transport, Session& session,
                        std::uint32_t itt, std::uint8_t scsi_status,
                        ByteSpan sense = {});

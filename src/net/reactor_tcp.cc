@@ -141,8 +141,8 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
     });
   }
 
-  /// Flush the outbox with writev until EAGAIN or empty; arms/disarms
-  /// EPOLLOUT to match.  Any thread, `mutex` held.
+  /// Flush the outbox with gathered writes until EAGAIN or empty;
+  /// arms/disarms EPOLLOUT to match.  Any thread, `mutex` held.
   void flush_locked() {
     constexpr std::size_t kMaxIov = 16;
     while (!outq.empty() && !closed && fd >= 0) {
@@ -157,11 +157,16 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
         ++iov_count;
         offset = 0;
       }
-      const ssize_t n = ::writev(fd, iov, static_cast<int>(iov_count));
+      // sendmsg, not writev: MSG_NOSIGNAL turns a write to a reset peer
+      // into EPIPE instead of a process-killing SIGPIPE.
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = iov_count;
+      const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        fail_locked(errno_status("writev"), false);
+        fail_locked(errno_status("sendmsg"), false);
         return;
       }
       // Advance the queue past what the kernel took; the head frame
@@ -485,15 +490,20 @@ std::size_t ReactorTcpTransport::outbox_bytes() const {
 // ---- ReactorListener -------------------------------------------------------
 
 struct ReactorListener::State : std::enable_shared_from_this<State> {
-  State(std::shared_ptr<ReactorPool> p, int fd_in, std::uint16_t port_in,
-        const ReactorTcpOptions& opts)
-      : pool(std::move(p)), fd(fd_in), port(port_in), options(opts) {}
+  State(std::shared_ptr<ReactorPool> p, std::shared_ptr<ReactorPool> place,
+        int fd_in, std::uint16_t port_in, const ReactorTcpOptions& opts)
+      : pool(std::move(p)),
+        placement(std::move(place)),
+        fd(fd_in),
+        port(port_in),
+        options(opts) {}
 
   ~State() {
     if (fd >= 0) ::close(fd);
   }
 
-  std::shared_ptr<ReactorPool> pool;
+  std::shared_ptr<ReactorPool> pool;       // accepts on pool->at(0)
+  std::shared_ptr<ReactorPool> placement;  // connections live here
   int fd;
   const std::uint16_t port;
   const ReactorTcpOptions options;
@@ -518,7 +528,7 @@ struct ReactorListener::State : std::enable_shared_from_this<State> {
         return;
       }
       auto transport = ReactorTcpTransport::adopt(
-          pool->next().shared_from_this(), client, options);
+          placement->next().shared_from_this(), client, options);
       if (!transport.is_ok()) {
         PRINS_LOG(kWarn) << "reactor adopt: "
                          << transport.status().to_string();
@@ -576,7 +586,7 @@ ReactorListener::~ReactorListener() { close(); }
 
 Result<std::unique_ptr<ReactorListener>> ReactorListener::listen(
     std::shared_ptr<ReactorPool> pool, std::uint16_t port,
-    const ReactorTcpOptions& options) {
+    const ReactorTcpOptions& options, std::shared_ptr<ReactorPool> placement) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return errno_status("socket");
@@ -602,8 +612,9 @@ Result<std::unique_ptr<ReactorListener>> ReactorListener::listen(
     ::close(fd);
     return s;
   }
-  auto state = std::make_shared<State>(std::move(pool), fd,
-                                       ntohs(addr.sin_port), options);
+  if (placement == nullptr) placement = pool;
+  auto state = std::make_shared<State>(std::move(pool), std::move(placement),
+                                       fd, ntohs(addr.sin_port), options);
   const Status added = state->pool->at(0).shared_from_this()->add_fd(
       fd, EPOLLIN, [state](std::uint32_t) { state->on_acceptable(); });
   if (!added.is_ok()) return added;

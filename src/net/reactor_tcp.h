@@ -9,7 +9,7 @@
 //               completed messages land in a bounded inbox
 //   write side  send() enqueues an owned frame and opportunistically
 //               flushes; what the socket won't take is resumed by the loop
-//               on EPOLLOUT via writev across the queued frames
+//               on EPOLLOUT by one gathered write across the queued frames
 //
 // The blocking Transport API is a compatibility shim over that machine:
 // recv()/recv_for() pop the inbox (recv_for arms its deadline on the
@@ -21,8 +21,14 @@
 // Server fan-in can skip the shim: set_message_handler() delivers each
 // completed message on the loop thread instead of the inbox, so one
 // reactor thread can serve hundreds of connections with no thread per
-// link (backpressure pauses reading while the outbox is over its limit).
-// Handlers must not block; send() from a handler never blocks.
+// link.  The loop reads nothing more from a connection while its handler
+// runs, and pauses reading while the outbox is over its limit, so a
+// handler-driven connection needs no frame queue of its own.  send() from
+// a handler never blocks.  A handler must not block on a shared pool: the
+// loop it holds may be the one that has to deliver what it waits for.  A
+// server whose handlers do block (device I/O) places its connections on a
+// pool private to it (ReactorListener::listen's `placement`), where a
+// blocked handler stalls only its loop-mates.
 //
 // Wire format and frame limit are identical to TcpTransport — the two ends
 // of a connection may freely mix blocking and reactor transports.
@@ -105,10 +111,12 @@ class ReactorTcpTransport final : public Transport {
 class ReactorListener final : public Listener {
  public:
   /// Bind 127.0.0.1:port (0 picks a free port) and accept on `pool`'s
-  /// first reactor; connections are placed round-robin across the pool.
+  /// first reactor.  Connections are placed round-robin across
+  /// `placement`, or across `pool` when `placement` is null.
   static Result<std::unique_ptr<ReactorListener>> listen(
       std::shared_ptr<ReactorPool> pool, std::uint16_t port,
-      const ReactorTcpOptions& options = {});
+      const ReactorTcpOptions& options = {},
+      std::shared_ptr<ReactorPool> placement = nullptr);
 
   ~ReactorListener() override;
 

@@ -20,19 +20,6 @@ Status errno_status(const std::string& what) {
   return io_error(what + ": " + std::strerror(errno));
 }
 
-Status write_all(int fd, const Byte* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("send");
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
-}
-
 }  // namespace
 
 TcpTransport::TcpTransport(int fd) : fd_(fd), owned_fd_(fd) {
@@ -74,22 +61,17 @@ Result<std::unique_ptr<Transport>> TcpTransport::connect(
 }
 
 Status TcpTransport::send(ByteSpan message) {
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) return unavailable("transport closed");
-  if (message.size() > kMaxTcpMessageBytes) {
-    return invalid_argument("message exceeds frame limit");
-  }
-  Byte header[4];
-  store_le32(header, static_cast<std::uint32_t>(message.size()));
-  PRINS_RETURN_IF_ERROR(write_all(fd, header, sizeof header));
-  return write_all(fd, message.data(), message.size());
+  // One gathered write for prefix and body: with TCP_NODELAY, two send()
+  // calls would put two segments on the wire and wake the receiver twice.
+  const ByteSpan parts[] = {message};
+  return send_vec(parts);
 }
 
 Status TcpTransport::send_vec(std::span<const ByteSpan> parts) {
   const int fd = fd_.load(std::memory_order_acquire);
   if (fd < 0) return unavailable("transport closed");
-  // writev() caps the iovec count; the engine sends 3 parts, so a small
-  // fixed array (parts + length prefix) covers every caller.
+  // The engine sends 3 parts and send() one, so a small fixed iovec array
+  // (parts + length prefix) covers every caller.
   constexpr std::size_t kMaxParts = 15;
   if (parts.size() > kMaxParts) return Transport::send_vec(parts);
   std::size_t total = 0;
@@ -109,10 +91,15 @@ Status TcpTransport::send_vec(std::span<const ByteSpan> parts) {
   std::size_t remaining = sizeof header + total;
   std::size_t first = 0;
   while (remaining > 0) {
-    ssize_t n = ::writev(fd, iov + first, static_cast<int>(iov_count - first));
+    // sendmsg, not writev: MSG_NOSIGNAL turns a write to a reset peer into
+    // EPIPE instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = iov_count - first;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return errno_status("writev");
+      return errno_status("sendmsg");
     }
     remaining -= static_cast<std::size_t>(n);
     // Advance past fully-written iovecs; trim a partially-written one.

@@ -1180,7 +1180,9 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
         spawn_heal = true;
       }
     } else {
-      if (worker_error_.is_ok()) {
+      // A stopping engine fails its open rounds itself (and closes its own
+      // links): that is teardown, not a replication failure.
+      if (worker_error_.is_ok() && !stopping_.load(std::memory_order_relaxed)) {
         worker_error_ = why;
         PRINS_LOG(kError) << "replication failed: " << why.to_string();
       }
@@ -1322,22 +1324,16 @@ void PrinsEngine::heal_failed(ReplicaLink* link, const Status& why) {
 
 Status PrinsEngine::hello_locked(ReplicaLink& link,
                                  std::uint64_t& applied_ts) {
-  for (std::size_t attempt = 0; attempt <= config_.retry.max_attempts;
-       ++attempt) {
-    ReplicationMessage hello;
-    hello.kind = MessageKind::kHello;
-    hello.cluster_epoch = config_.cluster_epoch;
-    auto reply = request_reply_locked(link, hello);
-    if (reply.is_ok() && reply->kind == MessageKind::kAck) {
-      applied_ts = reply->timestamp_us;
-      return Status::ok();
-    }
-    if (!reply.is_ok() && reply.status().code() != ErrorCode::kTimeout) {
-      return reply.status();
-    }
-    // No answer, or a NAK: ask again.
+  ReplicationMessage hello;
+  hello.kind = MessageKind::kHello;
+  hello.cluster_epoch = config_.cluster_epoch;
+  PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
+                         request_reply_locked(link, hello));
+  if (reply.kind != MessageKind::kAck) {
+    return failed_precondition("replica sent non-ACK reply to hello");
   }
-  return timeout_error("replica hello got no usable reply");
+  applied_ts = reply.timestamp_us;
+  return Status::ok();
 }
 
 Status PrinsEngine::build_resync_locked(ReplicaLink& link,
@@ -1464,20 +1460,21 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
       std::lock_guard lock(mutex_);
       if (stopping_) return;
     }
-    Status shipped = timeout_error("resync frame got no ack; will resume");
+    Status shipped = failed_precondition("resync frame NAKed; will resume");
     for (std::size_t attempt = 0; attempt <= config_.retry.max_attempts;
          ++attempt) {
       auto reply = request_reply_locked(*link, link->resync_frames.front());
-      if (reply.is_ok()) {
-        if (!is_ack(*reply)) continue;  // NAK: resend
-        shipped = Status::ok();
-        break;
-      }
-      // Fenced by a promoted successor, or the connection is gone.
-      if (reply.status().code() != ErrorCode::kTimeout) {
+      // No answer after every resend, fenced by a promoted successor, or
+      // the connection is gone.
+      if (!reply.is_ok()) {
         shipped = reply.status();
         break;
       }
+      if (is_ack(*reply)) {
+        shipped = Status::ok();
+        break;
+      }
+      // NAK: resend.
     }
     if (!shipped.is_ok()) return heal_failed(link, shipped);
     link->resync_frames.pop_front();
@@ -1681,7 +1678,21 @@ Result<ReplicationMessage> PrinsEngine::request_reply_locked(
   if (request.sequence == 0) {
     request.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
   }
-  PRINS_RETURN_IF_ERROR(link.transport->send(request.encode()));
+  const Bytes wire = request.encode();
+  // The first send plus max_attempts resends: a replication round's budget.
+  for (std::size_t attempt = 0;; ++attempt) {
+    PRINS_RETURN_IF_ERROR(link.transport->send(wire));
+    auto reply = await_reply_locked(link, request.sequence);
+    if (reply.is_ok() || reply.status().code() != ErrorCode::kTimeout ||
+        attempt >= config_.retry.max_attempts ||
+        stopping_.load(std::memory_order_relaxed)) {
+      return reply;
+    }
+  }
+}
+
+Result<ReplicationMessage> PrinsEngine::await_reply_locked(
+    ReplicaLink& link, std::uint64_t sequence) {
   // Frames from earlier traffic — the second ACK of a duplicated delivery,
   // a late reply to a timed-out round or exchange — may precede the answer.
   // With op_timeout set, skip them until that deadline.  Without it, skip
@@ -1708,7 +1719,7 @@ Result<ReplicationMessage> PrinsEngine::request_reply_locked(
       if (!timed) break;
       continue;
     }
-    if (reply->sequence != request.sequence) continue;  // stale
+    if (reply->sequence != sequence) continue;  // stale
     if (reply->kind == MessageKind::kNak &&
         nak_reason(reply->payload) == NakReason::kStaleEpoch) {
       return fenced_by_replica(link, reply->cluster_epoch);

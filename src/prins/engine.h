@@ -578,12 +578,19 @@ class PrinsEngine final : public BlockDevice {
   void drive_round_locked(ReplicaLink* link);
   /// One operator request/reply exchange: stamp a fresh sequence on
   /// `request` (unless it carries one), send it, and return the replica's
-  /// answer to it, skipping stale frames from earlier traffic (until
-  /// op_timeout, or up to a bound without one).  kTimeout when no answer
-  /// arrived; a kStaleEpoch NAK maps to
-  /// fenced_by_replica().  Link mutex must be held.
+  /// answer to it.  An attempt that draws no answer is resent, up to
+  /// retry.max_attempts times, under the same sequence: a late answer to
+  /// an earlier send still matches, and the replica's dedup window re-ACKs
+  /// a write-kind request it already applied.  kTimeout when no attempt
+  /// was answered; a kStaleEpoch NAK maps to fenced_by_replica().  Link
+  /// mutex must be held.
   Result<ReplicationMessage> request_reply_locked(ReplicaLink& link,
                                                   ReplicationMessage& request);
+  /// One attempt's wait: the reply carrying `sequence`, skipping stale
+  /// frames from earlier traffic (until op_timeout, or up to a bound
+  /// without one).  kTimeout when none arrived.  Link mutex must be held.
+  Result<ReplicationMessage> await_reply_locked(ReplicaLink& link,
+                                                std::uint64_t sequence);
   /// Rewrite a NAK'd (NakReason::kNeedFullBlock) in-flight parity entry as
   /// a kRepairBlock carrying the block's full contents at the entry's own
   /// timestamp, so deltas queued behind it still telescope.  No-op (the

@@ -283,6 +283,33 @@ TEST(TcpTest, PeerCloseYieldsUnavailable) {
   server.join();
 }
 
+TEST(TcpTest, SendToAClosedPeerFailsWithoutSigpipe) {
+  // Writing to a reset connection must come back as a Status: a SIGPIPE
+  // would end the whole process.  Both entry points share one write.
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.is_ok());
+  std::thread server([&] {
+    auto conn = (*listener)->accept();
+    ASSERT_TRUE(conn.is_ok());
+    (*conn)->close();
+  });  // the accepted transport is destroyed here: its fd closes
+  auto client = TcpTransport::connect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  server.join();
+  ASSERT_EQ((*client)->recv().status().code(), ErrorCode::kUnavailable);
+  const Bytes data(1000, Byte{7});
+  const ByteSpan parts[] = {data, data};
+  // The first write after the reset may still be taken, and the first
+  // error reported can be ECONNRESET; only the writes after it meet EPIPE.
+  int failures = 0;
+  for (int i = 0; i < 20; ++i) {
+    failures += !(*client)->send(data).is_ok();
+    failures += !(*client)->send_vec(parts).is_ok();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(failures, 30);
+}
+
 // ---- packet model & traffic meter ------------------------------------------------
 
 TEST(PacketModelTest, MatchesPaperFormula) {

@@ -1,6 +1,6 @@
 // Tests for the thread-free node: ReactorReplicaServer (many initiators,
-// one shared apply pipeline), ReactorIscsiServer (actor-per-session PDU
-// serving), the reactor-driven engine senders (EngineConfig::
+// one shared apply pipeline), ReactorIscsiServer (PDUs run to completion
+// on private session loops), the reactor-driven engine senders (EngineConfig::
 // reactor_senders) and the sender-driver sweeps (duplicate ACKs, drops,
 // parity, stop and reattach), the concurrent replica_serve_in_background
 // accept loop, and the validated PRINS_* env knob parser.  Everything here runs
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -241,6 +242,52 @@ TEST(ReactorReplicaServerTest, DuplicateAcrossReconnectAppliesOnce) {
   ASSERT_TRUE(replica_disk->read(3, got).is_ok());
   EXPECT_EQ(got, delta);
   EXPECT_EQ(replica->metrics().duplicates_dropped, 1u);
+  (*server)->stop();
+}
+
+TEST(ReactorReplicaServerTest, DuplicateRepairAndSyncBlocksAreReAcked) {
+  // An operator exchange that resends after a lost ACK delivers its sync
+  // block or repair twice under one sequence.  The copy must be ACKed
+  // again (the primary is waiting for that ACK), not dropped in silence,
+  // and must not be applied twice.  Both front ends share this apply path.
+  constexpr std::uint32_t kBs = 512;
+  auto replica_disk = std::make_shared<MemDisk>(8, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorReplicaServer::start(replica, *pool);
+  ASSERT_TRUE(server.is_ok());
+  auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(link.is_ok());
+
+  Bytes block(kBs);
+  Rng(91).fill(block);
+  ReplicationMessage sync = sync_block_message(2, 50, kBs, block);
+  ReplicationMessage repair = sync_block_message(5, 51, kBs, block);
+  repair.kind = MessageKind::kRepairBlock;
+  for (const ReplicationMessage* msg : {&sync, &repair}) {
+    const Bytes wire = msg->encode();
+    for (int copy = 0; copy < 2; ++copy) {
+      ASSERT_TRUE((*link)->send(wire).is_ok());
+      ASSERT_TRUE(collect_acks(**link, 1).is_ok()) << "copy " << copy;
+    }
+  }
+  // The threaded front end answers through ReplicaEngine::apply.
+  auto again = replica->apply(repair);
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+  EXPECT_EQ(again->kind, MessageKind::kAck);
+  EXPECT_EQ(again->sequence, repair.sequence);
+
+  const ReplicaMetrics metrics = replica->metrics();
+  EXPECT_EQ(metrics.sync_blocks, 1u);
+  EXPECT_EQ(metrics.repairs, 1u);
+  EXPECT_EQ(metrics.duplicates_dropped, 3u);
+  Bytes got(kBs);
+  for (Lba lba : {Lba{2}, Lba{5}}) {
+    ASSERT_TRUE(replica_disk->read(lba, got).is_ok());
+    EXPECT_EQ(got, block) << "lba " << lba;
+  }
+  (*link)->close();
   (*server)->stop();
 }
 
@@ -854,6 +901,272 @@ TEST(ReactorIscsiServerTest, TwoInitiatorsShareTheWorkerPool) {
   (*server)->stop();
 }
 
+// A MemDisk whose writes to one LBA park until open(): a device call held
+// mid-PDU.
+class GatedDisk final : public BlockDevice {
+ public:
+  GatedDisk(std::uint64_t blocks, std::uint32_t bs, Lba gated)
+      : disk_(blocks, bs), gated_(gated) {}
+
+  std::uint32_t block_size() const override { return disk_.block_size(); }
+  std::uint64_t num_blocks() const override { return disk_.num_blocks(); }
+  Status read(Lba lba, MutByteSpan out) override {
+    return disk_.read(lba, out);
+  }
+  Status write(Lba lba, ByteSpan data) override {
+    if (lba == gated_) {
+      std::unique_lock lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    const Status s = disk_.write(lba, data);
+    writes_.fetch_add(1);
+    return s;
+  }
+  std::string describe() const override { return "gated"; }
+
+  bool await_entered() {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, 10s, [this] { return entered_; });
+  }
+  void open() {
+    std::lock_guard lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  std::size_t writes() const { return writes_.load(); }
+
+ private:
+  MemDisk disk_;
+  const Lba gated_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+  std::atomic<std::size_t> writes_{0};
+};
+
+Result<std::unique_ptr<iscsi::IscsiInitiator>> iscsi_login(
+    std::uint16_t port) {
+  PRINS_ASSIGN_OR_RETURN(auto link, TcpTransport::connect("127.0.0.1", port));
+  return iscsi::IscsiInitiator::login(std::move(link));
+}
+
+TEST(ReactorIscsiServerTest, BlockedSessionDoesNotStallTheOtherLoop) {
+  // Two session loops, two initiators placed round-robin: one per loop.
+  // The first parks in the device mid-WRITE; the second keeps being served.
+  constexpr std::uint32_t kBs = 512;
+  constexpr Lba kGated = 7;
+  auto disk = std::make_shared<GatedDisk>(64, kBs, kGated);
+  auto target = std::make_shared<iscsi::IscsiTarget>(disk);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  iscsi::ReactorIscsiServerOptions options;
+  options.worker_threads = 2;
+  auto server = iscsi::ReactorIscsiServer::start(target, *pool, options);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+
+  auto held = iscsi_login((*server)->port());
+  ASSERT_TRUE(held.is_ok()) << held.status().to_string();
+  auto second = iscsi_login((*server)->port());
+  ASSERT_TRUE(second.is_ok()) << second.status().to_string();
+
+  const Bytes block(kBs, Byte{0x6b});
+  std::thread blocked([&] { EXPECT_TRUE((*held)->write(kGated, block).is_ok()); });
+  ASSERT_TRUE(disk->await_entered());
+  std::atomic<int> served{0};
+  std::thread other([&] {
+    Bytes back(kBs);
+    for (Lba lba = 16; lba < 32; ++lba) {
+      if (!(*second)->write(lba, block).is_ok() ||
+          !(*second)->read(lba, back).is_ok() || back != block) {
+        return;
+      }
+      served.fetch_add(1);
+    }
+  });
+  EXPECT_TRUE(await([&] { return served.load() == 16; }));
+  EXPECT_EQ(disk->writes(), 16u);  // the gated write is still parked
+  disk->open();  // also frees `other` if it was stuck behind the gate
+  blocked.join();
+  other.join();
+  EXPECT_EQ(disk->writes(), 17u);
+  EXPECT_TRUE((*held)->logout().is_ok());
+  EXPECT_TRUE((*second)->logout().is_ok());
+  (*server)->stop();
+}
+
+TEST(ReactorIscsiServerTest, StopWaitsForTheHandlerInTheDevice) {
+  constexpr std::uint32_t kBs = 512;
+  constexpr Lba kGated = 3;
+  auto disk = std::make_shared<GatedDisk>(16, kBs, kGated);
+  auto target = std::make_shared<iscsi::IscsiTarget>(disk);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = iscsi::ReactorIscsiServer::start(target, *pool);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  auto initiator = iscsi_login((*server)->port());
+  ASSERT_TRUE(initiator.is_ok()) << initiator.status().to_string();
+
+  // The reply may or may not make it out before stop() closes the
+  // connection; only the server side is under test.
+  const Bytes block(kBs, Byte{0x21});
+  std::thread writer([&] { (void)(*initiator)->write(kGated, block); });
+  ASSERT_TRUE(disk->await_entered());
+
+  std::atomic<bool> stopped{false};
+  std::size_t writes_at_stop = 0;
+  std::uint64_t commands_at_stop = 0;
+  std::thread stopper([&] {
+    (*server)->stop();
+    writes_at_stop = disk->writes();
+    commands_at_stop = target->commands_served();
+    stopped = true;
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(stopped.load());  // the handler is still in the device
+  disk->open();
+  stopper.join();
+  writer.join();
+  EXPECT_EQ(writes_at_stop, 1u);  // the handler finished before stop returned
+  EXPECT_EQ((*server)->sessions(), 0u);
+  EXPECT_FALSE((*initiator)->ping().is_ok());  // the session is gone
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(disk->writes(), writes_at_stop);
+  EXPECT_EQ(target->commands_served(), commands_at_stop);
+}
+
+TEST(ReactorIscsiServerTest, PipelinedBurstIsAnsweredInOrderUnderBackpressure) {
+  // The initiator sends a burst of pings far larger than every buffer on
+  // the path before it reads a single reply.  The server handles PDUs in
+  // order and, once its outbox is over the limit, stops reading: the rest
+  // of the burst waits in the initiator's send() until replies are read.
+  constexpr std::size_t kBurst = 2048;
+  constexpr std::size_t kPayload = 4096;
+  ReactorTcpOptions small;
+  small.outbox_limit_bytes = 64 * 1024;
+  small.inbox_capacity = 4;
+  // Socket buffers well above the loopback MSS (64 KiB): smaller ones
+  // stall on zero-window probes.
+  small.sndbuf_bytes = 256 * 1024;
+  small.rcvbuf_bytes = 256 * 1024;
+  auto target = std::make_shared<iscsi::IscsiTarget>(
+      std::make_shared<MemDisk>(16, 512));
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  iscsi::ReactorIscsiServerOptions options;
+  options.transport = small;
+  auto server = iscsi::ReactorIscsiServer::start(target, *pool, options);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  auto client_loop = Reactor::create();
+  ASSERT_TRUE(client_loop.is_ok());
+  auto link = ReactorTcpTransport::connect(*client_loop, "127.0.0.1",
+                                           (*server)->port(), small);
+  ASSERT_TRUE(link.is_ok()) << link.status().to_string();
+  Transport& t = **link;
+
+  iscsi::Pdu login;
+  login.opcode = iscsi::Opcode::kLoginRequest;
+  login.immediate = true;
+  login.flags = static_cast<std::uint8_t>(iscsi::kLoginTransit |
+                                          (iscsi::kStageOperational << 2) |
+                                          iscsi::kStageFullFeature);
+  login.itt = 1;
+  login.data = iscsi::encode_login_kv({{"InitiatorName", "iqn.test:burst"}});
+  ASSERT_TRUE(t.send(login.encode()).is_ok());
+  auto login_reply = t.recv_for(10s);
+  ASSERT_TRUE(login_reply.is_ok()) << login_reply.status().to_string();
+
+  auto payload_of = [](std::size_t i) {
+    Bytes payload(kPayload);
+    Rng(i).fill(payload);
+    return payload;
+  };
+  std::atomic<std::size_t> sent{0};
+  std::thread burst([&] {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      iscsi::Pdu ping;
+      ping.opcode = iscsi::Opcode::kNopOut;
+      ping.immediate = true;
+      ping.flags = iscsi::kFlagFinal;
+      ping.itt = static_cast<std::uint32_t>(100 + i);
+      ping.word5 = 0xFFFFFFFFu;
+      ping.data = payload_of(i);
+      if (!t.send(ping.encode()).is_ok()) return;
+      sent.fetch_add(1);
+    }
+  });
+  std::this_thread::sleep_for(200ms);
+  EXPECT_LT(sent.load(), kBurst);  // held back: nobody reads the replies
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    auto wire = t.recv_for(10s);
+    ASSERT_TRUE(wire.is_ok()) << i << ": " << wire.status().to_string();
+    auto reply = iscsi::Pdu::decode(*wire);
+    ASSERT_TRUE(reply.is_ok()) << i;
+    ASSERT_EQ(reply->opcode, iscsi::Opcode::kNopIn) << i;
+    ASSERT_EQ(reply->itt, 100 + i);
+    ASSERT_EQ(reply->data, payload_of(i)) << i;
+  }
+  burst.join();
+  EXPECT_EQ(sent.load(), kBurst);
+  t.close();
+  (*server)->stop();
+}
+
+TEST(ReactorIscsiServerTest, StopReleasesTheTargetSoTeardownStaysQuiet) {
+  // remote_mirroring's teardown order with the thread-free node: stop the
+  // iSCSI server, drop the engine, stop the replica server.  A server that
+  // kept its target (and so the engine) past stop() let the replica's
+  // close reach a live engine, which logged a replication failure.
+  constexpr std::uint32_t kBs = 512;
+  constexpr std::uint64_t kBlocks = 32;
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto replica_server = ReactorReplicaServer::start(replica, *pool);
+  ASSERT_TRUE(replica_server.is_ok());
+  EngineConfig config;
+  config.reactor = (*pool)->at(0).shared_from_this();
+  config.reactor_senders = true;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_shared<PrinsEngine>(primary, config);
+  auto link = ReactorTcpTransport::connect(config.reactor, "127.0.0.1",
+                                           (*replica_server)->port());
+  ASSERT_TRUE(link.is_ok());
+  engine->add_replica(std::move(*link));
+  auto target = std::make_shared<iscsi::IscsiTarget>(engine);
+  auto server = iscsi::ReactorIscsiServer::start(target, *pool);
+  ASSERT_TRUE(server.is_ok());
+
+  auto initiator = iscsi_login((*server)->port());
+  ASSERT_TRUE(initiator.is_ok()) << initiator.status().to_string();
+  const Bytes block(kBs, Byte{0x5c});
+  for (Lba lba = 0; lba < 8; ++lba) {
+    ASSERT_TRUE((*initiator)->write(lba, block).is_ok());
+  }
+  ASSERT_TRUE((*initiator)->flush().is_ok());
+  ASSERT_TRUE((*initiator)->logout().is_ok());
+
+  std::weak_ptr<PrinsEngine> engine_alive = engine;
+  testing::internal::CaptureStderr();
+  (*server)->stop();
+  target.reset();
+  engine.reset();
+  const bool engine_gone = engine_alive.expired();
+  (*replica_server)->stop();
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(engine_gone);  // the server object still exists
+  EXPECT_EQ(log.find("replication failed"), std::string::npos) << log;
+  Bytes want(kBs), got(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, want).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, got).is_ok());
+    ASSERT_EQ(want, got) << "lba " << lba;
+  }
+}
+
 // ---- reactor-driven engine senders -----------------------------------------
 
 TEST(ReactorSenderTest, WritesConvergeWithoutSenderThreads) {
@@ -1327,8 +1640,8 @@ TEST_P(SenderDriverLossTest, DropsAndDuplicatesConvergeAndOperatorsSkipStale) {
   const Status drained = rig.engine->drain();
   ASSERT_TRUE(drained.is_ok()) << drained.to_string();
   EXPECT_GT(rig.engine->metrics().retries, 0u);  // the drops were felt
-  // Operator exchanges do not retry, so a dropped request times out; only
-  // that may fail, and a second pass must then find the same nothing.
+  // An operator exchange whose every resend is dropped still times out;
+  // only that may fail, and a second pass must then find the same nothing.
   bool verified = false;
   for (int pass = 0; pass < 10 && !verified; ++pass) {
     auto repaired = rig.engine->verify_and_repair(0, DriverRig::kBlocks);
@@ -1354,13 +1667,72 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+class SenderDriverOperatorLossTest
+    : public ::testing::TestWithParam<std::tuple<SenderDriver, std::uint64_t>> {
+};
+
+TEST_P(SenderDriverOperatorLossTest, VerifyAndRepairResendsOnItsOwn) {
+  // One verify_and_repair call with no retry by the caller: the checksum
+  // request and every repair it sends resend on timeout by themselves, and
+  // a repair whose ACK was dropped is re-ACKed, not re-applied.
+  const auto [driver, seed] = GetParam();
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = 8;
+  config.retry.max_attempts = 8;
+  config.retry.base_backoff = 1ms;
+  config.retry.max_backoff = 20ms;
+  config.retry.op_timeout = std::chrono::milliseconds(50 * kTimingScale);
+  FaultConfig faults;
+  faults.drop_p = 0.05;
+  faults.seed = seed;
+  auto replica_disk =
+      std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+  DriverRig rig(driver, replica_disk, config, faults);
+
+  Rng rng(seed);
+  Bytes block(DriverRig::kBs);
+  for (int i = 0; i < 100; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE(
+        rig.engine->write(rng.next_below(DriverRig::kBlocks), block).is_ok());
+  }
+  const Status drained = rig.engine->drain();
+  ASSERT_TRUE(drained.is_ok()) << drained.to_string();
+  // Rot every third mirror block behind the engine's back: one checksum
+  // exchange plus one repair exchange per rotten block.
+  std::uint64_t rotten = 0;
+  for (Lba lba = 0; lba < DriverRig::kBlocks; lba += 3) {
+    rng.fill(block);
+    ASSERT_TRUE(replica_disk->write(lba, block).is_ok());
+    ++rotten;
+  }
+  auto repaired = rig.engine->verify_and_repair(0, DriverRig::kBlocks);
+  ASSERT_TRUE(repaired.is_ok()) << repaired.status().to_string();
+  EXPECT_EQ(*repaired, rotten);
+  EXPECT_TRUE(devices_equal(*rig.primary, *replica_disk));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, SenderDriverOperatorLossTest,
+    ::testing::Combine(::testing::Values(SenderDriver::kThreaded,
+                                         SenderDriver::kReactor),
+                       ::testing::Values(2000u, 2001u, 2002u)),
+    [](const auto& info) {
+      return std::string(driver_name(std::get<0>(info.param))) + "Seed" +
+             std::to_string(std::get<1>(info.param));
+    });
+
 // A threaded link whose every frame is dropped, with retry and heal
 // backoffs far longer than any test bound: only a stop or a reattach can
-// end its waits early.
+// end its waits early.  The reply deadline also governs the healthy link a
+// reattach brings in, so it leaves room for a loaded scheduler: at 20 ms a
+// late reply on that link degraded it again and parked drain() in the
+// 60 s heal backoff.
 EngineConfig dead_link_config() {
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrins;
-  config.retry.op_timeout = std::chrono::milliseconds(20 * kTimingScale);
+  config.retry.op_timeout = std::chrono::milliseconds(250 * kTimingScale);
   config.retry.base_backoff = 60s;
   config.retry.max_backoff = 60s;
   return config;
@@ -1407,6 +1779,25 @@ TEST(SenderDriverStopTest, DestructorCutsAThreadedRetryBackoffShort) {
   const auto start = std::chrono::steady_clock::now();
   rig.engine.reset();
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+}
+
+TEST(SenderDriverStopTest, DestructorDoesNotReportTheRoundItCuts) {
+  // Teardown fails the open round itself (and closes the engine's own
+  // links): that must not surface as a replication failure.
+  for (SenderDriver driver : {SenderDriver::kThreaded, SenderDriver::kReactor}) {
+    auto replica_disk =
+        std::make_shared<MemDisk>(DriverRig::kBlocks, DriverRig::kBs);
+    DriverRig rig(driver, replica_disk, dead_link_config(), drop_everything());
+    Bytes block(DriverRig::kBs, 0x13);
+    ASSERT_TRUE(rig.engine->write(0, block).is_ok());
+    ASSERT_TRUE(await([&] { return rig.engine->metrics().retries >= 1; }))
+        << driver_name(driver);
+    testing::internal::CaptureStderr();
+    rig.engine.reset();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(log.find("replication failed"), std::string::npos)
+        << driver_name(driver) << ": " << log;
+  }
 }
 
 TEST(SenderDriverStopTest, DestructorCutsAThreadedHealWaitShort) {

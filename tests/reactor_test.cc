@@ -18,6 +18,7 @@
 #include "net/reactor_tcp.h"
 #include "net/tcp.h"
 #include "prins/engine.h"
+#include "prins/reactor_server.h"
 #include "prins/replica.h"
 
 namespace prins {
@@ -426,12 +427,42 @@ TEST(ReactorTcpTest, CloseUnblocksPendingRecv) {
   closer.join();
 }
 
+TEST(ReactorTcpTest, SendToAClosedPeerFailsWithoutSigpipe) {
+  // The loop's gathered write to a reset connection must fail the
+  // connection, not raise SIGPIPE and end the process.
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.is_ok());
+  std::thread server([&] {
+    auto conn = (*listener)->accept();
+    ASSERT_TRUE(conn.is_ok());
+    (*conn)->close();
+  });  // the accepted transport is destroyed here: its fd closes
+  auto client = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  server.join();
+  const Bytes data(1000, Byte{7});
+  // The first write after the reset may still be taken; the loop's later
+  // writes meet the reset, and sends after that fail with the
+  // connection's error.
+  int failures = 0;
+  for (int i = 0; i < 20; ++i) {
+    failures += !(*client)->send(data).is_ok();
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GE(failures, 15);
+}
+
 // ---- engine backoff on reactor timers --------------------------------------
 
-TEST(ReactorEngineTest, RetryAndHealBackoffRideTheTimerWheel) {
-  // Same lossy-fabric convergence the self-heal soak proves, but with
-  // EngineConfig::reactor set: every retry backoff and heal delay becomes
-  // a wheel entry firing a gate instead of a per-thread timed sleep.
+TEST(ReactorEngineTest, ThreadedLinksRetryAndHealWithAReactorConfigured) {
+  // Same lossy-fabric convergence the self-heal soak proves, with
+  // EngineConfig::reactor set but in-proc links: those are not reactor
+  // transports, so their threaded senders keep their own deadlines and the
+  // wheel stays empty throughout.  ReactorLinkBackoffArmsAWheelTimer covers
+  // the reactor-driven links.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 64;
   InprocNetwork network;
@@ -479,23 +510,72 @@ TEST(ReactorEngineTest, RetryAndHealBackoffRideTheTimerWheel) {
     Bytes block(kBs);
     rng.fill(block);
     ASSERT_TRUE(engine->write(rng.next_below(kBlocks), block).is_ok());
+    ASSERT_EQ((*reactor)->pending_timers(), 0u);
   }
   ASSERT_TRUE(engine->drain().is_ok());
 
   const EngineMetrics metrics = engine->metrics();
-  EXPECT_GT(metrics.retries, 0u);      // drops forced wheel-timed backoffs
-  EXPECT_GE(metrics.reconnects, 1u);   // the cut forced a wheel-timed heal
+  EXPECT_GT(metrics.retries, 0u);      // drops forced backoffs
+  EXPECT_GE(metrics.reconnects, 1u);   // the cut forced a heal
   Bytes a(kBs), b(kBs);
   for (Lba lba = 0; lba < kBlocks; ++lba) {
     ASSERT_TRUE(primary->read(lba, a).is_ok());
     ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
     ASSERT_EQ(a, b) << "diverged at lba " << lba;
   }
-  engine.reset();  // destructor cancels any parked gates
-  EXPECT_TRUE(
-      await([&] { return (*reactor)->pending_timers() == 0; }, 2s));
+  engine.reset();
+  EXPECT_EQ((*reactor)->pending_timers(), 0u);
   shared_listener->close();
   server.join();
+}
+
+TEST(ReactorEngineTest, ReactorLinkBackoffArmsAWheelTimer) {
+  // A reactor-driven link (ReactorTcpTransport, reactor_senders) whose
+  // frames are all dropped: the first attempt's op timeout and then the
+  // retry backoff are entries on the engine's wheel.  The 60 s backoff
+  // holds the round (no second retry) while its entry stays pending, and
+  // the destructor cancels it instead of waiting it out.
+  constexpr std::uint32_t kBs = 1024;
+  constexpr std::uint64_t kBlocks = 16;
+  auto replica = std::make_shared<ReplicaEngine>(
+      std::make_shared<MemDisk>(kBlocks, kBs));
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorReplicaServer::start(replica, *pool);
+  ASSERT_TRUE(server.is_ok());
+
+  auto reactor = Reactor::create();  // the engine's alone: only its timers
+  ASSERT_TRUE(reactor.is_ok());
+  EngineConfig config;
+  config.reactor = *reactor;
+  config.reactor_senders = true;
+  config.retry.op_timeout = std::chrono::milliseconds(20);
+  config.retry.base_backoff = std::chrono::seconds(60);
+  config.retry.max_backoff = std::chrono::seconds(60);
+  auto engine = std::make_unique<PrinsEngine>(
+      std::make_shared<MemDisk>(kBlocks, kBs), config);
+  auto link = ReactorTcpTransport::connect(*reactor, "127.0.0.1",
+                                           (*server)->port());
+  ASSERT_TRUE(link.is_ok());
+  FaultConfig faults;
+  faults.drop_p = 1.0;
+  engine->add_replica(
+      std::make_unique<FaultyTransport>(std::move(*link), faults));
+  EXPECT_EQ((*reactor)->pending_timers(), 0u);
+
+  ASSERT_TRUE(engine->write(3, Bytes(kBs, 0x3c)).is_ok());
+  ASSERT_TRUE(await([&] { return engine->metrics().retries >= 1; }));
+  // In backoff: one wheel entry, and many op timeouts pass without a retry.
+  EXPECT_EQ((*reactor)->pending_timers(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(engine->metrics().retries, 1u);
+  EXPECT_EQ((*reactor)->pending_timers(), 1u);
+
+  const auto start = std::chrono::steady_clock::now();
+  engine.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ((*reactor)->pending_timers(), 0u);
+  (*server)->stop();
 }
 
 TEST(ReactorEnvTest, KnobsParse) {

@@ -500,8 +500,9 @@ int serve_target(std::shared_ptr<PrinsEngine> engine, const Options& options,
   const auto port = static_cast<std::uint16_t>(options.get_u64("port", 3260));
   const std::uint64_t stats_every = options.get_u64("stats", 0);
   if (auto pool = shared_reactor_pool()) {
-    // Thread-free serving: each session is an actor on a small worker
-    // pool instead of a parked PDU thread.
+    // Thread-free serving: each session runs its PDUs to completion on
+    // one of the server's few private session loops instead of a parked
+    // PDU thread.
     iscsi::ReactorIscsiServerOptions server_options;
     server_options.port = port;
     auto server = iscsi::ReactorIscsiServer::start(target, pool,
