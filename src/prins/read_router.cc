@@ -1,6 +1,7 @@
 #include "prins/read_router.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/endian.h"
 #include "common/logging.h"
@@ -108,24 +109,52 @@ ReadRouter::ReadLink* ReadRouter::pick_link() {
 
 Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
                                      std::uint64_t min_sequence) {
-  std::lock_guard lock(link.mutex);
-  if (link.degraded.load(std::memory_order_acquire)) {
-    return unavailable("read link degraded");
+  Exchange exchange;
+  exchange.id = next_exchange_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t lease_floor = 0;
+  {
+    std::lock_guard lock(link.mutex);
+    if (link.degraded.load(std::memory_order_acquire)) {
+      return unavailable("read link degraded");
+    }
+    lease_floor = claim_lease_locked(link);
+    // Parked before the request leaves, so a fast reply finds its slot.
+    link.waiting.push_back(&exchange);
   }
-  maybe_renew_lease(link);
 
   ReplicationMessage req;
   req.kind = MessageKind::kClientReadRequest;
   req.cluster_epoch = engine_->cluster_epoch();
   req.block_size = block_size();
   req.lba = lba;
-  req.sequence = next_exchange_.fetch_add(1, std::memory_order_relaxed);
+  req.sequence = exchange.id;
   append_le64(req.payload, min_sequence);
-  if (Status sent = link.transport->send(req.encode()); !sent.is_ok()) {
-    note_failure(link);
+  const Bytes request = req.encode();
+  Bytes lease;
+  if (lease_floor != 0) {
+    ReplicationMessage renewal;
+    renewal.kind = MessageKind::kReadLease;
+    renewal.cluster_epoch = req.cluster_epoch;
+    renewal.sequence = lease_floor;  // the lease travels in the sequence
+    lease = renewal.encode();
+  }
+  Status sent;
+  {
+    std::lock_guard lock(link.send_mutex);
+    // The lease goes first so the replica can already use it to prove
+    // this read fresh.  A lost renewal is simply given up at its deadline.
+    if (lease_floor != 0) (void)link.transport->send(lease);
+    sent = link.transport->send(request);
+  }
+  if (!sent.is_ok()) {
+    std::lock_guard lock(link.mutex);
+    std::erase(link.waiting, &exchange);
+    pass_receiving_locked(link);  // this exchange may have been handed it
+    note_failure_locked(link);
     return sent;
   }
-  auto reply = await_reply(link, req.sequence);
+
+  auto reply = await_reply(link, exchange);
   if (!reply.is_ok()) {
     note_failure(link);
     return reply.status();
@@ -148,8 +177,7 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
     }
     return unavailable("replica cannot serve the block");
   }
-  if (reply->kind != MessageKind::kClientReadReply || reply->lba != lba ||
-      reply->payload.size() != out.size()) {
+  if (reply->lba != lba || reply->payload.size() != out.size()) {
     note_failure(link);
     return failed_precondition("unexpected reply to client read");
   }
@@ -158,45 +186,118 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
   return Status::ok();
 }
 
-Result<ReplicationMessage> ReadRouter::await_reply(ReadLink& link,
-                                                   std::uint64_t exchange_id) {
-  // A prior exchange that timed out here can leave its late reply buffered
-  // on the transport; skim past anything that is not ours.
-  for (int tries = 0; tries < 16; ++tries) {
-    PRINS_ASSIGN_OR_RETURN(Bytes wire,
-                           link.transport->recv_for(config_.op_timeout));
-    auto reply = ReplicationMessage::decode(wire);
-    if (!reply.is_ok()) continue;           // torn frame; keep listening
-    if (reply->sequence != exchange_id) continue;  // stale reply
-    return *reply;
-  }
-  return timeout_error("no reply to client read exchange");
-}
-
-void ReadRouter::maybe_renew_lease(ReadLink& link) {
-  if (config_.lease_renew_every == 0) return;
+std::uint64_t ReadRouter::claim_lease_locked(ReadLink& link) {
+  if (config_.lease_renew_every == 0) return 0;
   const std::uint64_t floor = engine_->read_floor();
-  if (floor <= link.lease_published) return;
+  if (floor <= link.lease_published) return 0;
   if (link.lease_published != 0 &&
       floor - link.lease_published < config_.lease_renew_every) {
-    return;
+    return 0;
   }
-  ReplicationMessage lease;
-  lease.kind = MessageKind::kReadLease;
-  lease.cluster_epoch = engine_->cluster_epoch();
-  lease.sequence = floor;  // the lease value travels in the sequence field
-  if (!link.transport->send(lease.encode()).is_ok()) return;
-  auto ack = await_reply(link, floor);
-  if (ack.is_ok() && ack->kind == MessageKind::kAck) {
-    link.lease_published = floor;
+  const auto now = std::chrono::steady_clock::now();
+  if (link.lease_in_flight != 0 && now < link.lease_deadline) {
+    return 0;  // one renewal on the wire at a time
   }
-  // Any other outcome is soft: per-LBA freshness proofs still work, and a
-  // sick link will fail its next read exchange and degrade there.
+  // A renewal past its deadline is given up; its late ack is dropped.
+  link.lease_in_flight = floor;
+  link.lease_deadline = now + config_.op_timeout;
+  return floor;
 }
 
-void ReadRouter::note_success(ReadLink& link) { link.failure_streak = 0; }
+Result<ReplicationMessage> ReadRouter::await_reply(ReadLink& link,
+                                                   Exchange& exchange) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + config_.op_timeout;
+  std::unique_lock lock(link.mutex);
+  while (!exchange.done) {
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) {
+      // Only this exchange times out; its late reply will find no slot.
+      std::erase(link.waiting, &exchange);
+      exchange.done = true;
+      exchange.status = timeout_error("no reply to client read exchange");
+      break;
+    }
+    if (link.receiving) {
+      exchange.cv.wait_until(lock, deadline);
+      continue;
+    }
+    // Leader: receive for everyone until this exchange is answered.
+    link.receiving = true;
+    lock.unlock();
+    Result<Bytes> wire = link.transport->recv_for(
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now));
+    std::optional<ReplicationMessage> reply;
+    if (wire.is_ok()) {
+      auto decoded = ReplicationMessage::decode(*wire);
+      if (decoded.is_ok()) reply = std::move(*decoded);  // else: torn frame
+    }
+    lock.lock();
+    link.receiving = false;
+    if (reply.has_value()) {
+      route_reply_locked(link, std::move(*reply));
+    } else if (!wire.is_ok() && wire.status().code() != ErrorCode::kTimeout) {
+      fail_waiting_locked(link, wire.status());
+    }
+  }
+  pass_receiving_locked(link);
+  if (!exchange.status.is_ok()) return exchange.status;
+  return std::move(exchange.reply);
+}
+
+void ReadRouter::pass_receiving_locked(ReadLink& link) {
+  if (!link.receiving && !link.waiting.empty()) {
+    link.waiting.front()->cv.notify_one();
+  }
+}
+
+void ReadRouter::route_reply_locked(ReadLink& link,
+                                    ReplicationMessage reply) {
+  // Exchange ids and lease floors are independent counters, so the reply
+  // kind says which of the two a sequence names.
+  if (reply.kind == MessageKind::kAck) {
+    if (link.lease_in_flight != 0 && reply.sequence == link.lease_in_flight) {
+      link.lease_published = link.lease_in_flight;
+      link.lease_in_flight = 0;
+    }
+    return;
+  }
+  if (reply.kind != MessageKind::kClientReadReply &&
+      reply.kind != MessageKind::kNak) {
+    return;
+  }
+  const auto it = std::find_if(
+      link.waiting.begin(), link.waiting.end(),
+      [&](const Exchange* e) { return e->id == reply.sequence; });
+  if (it == link.waiting.end()) return;  // late reply to a timed-out read
+  Exchange& exchange = **it;
+  link.waiting.erase(it);
+  exchange.reply = std::move(reply);
+  exchange.done = true;
+  exchange.cv.notify_one();
+}
+
+void ReadRouter::fail_waiting_locked(ReadLink& link, const Status& status) {
+  for (Exchange* exchange : link.waiting) {
+    exchange->status = status;
+    exchange->done = true;
+    exchange->cv.notify_one();
+  }
+  link.waiting.clear();
+  link.lease_in_flight = 0;
+}
+
+void ReadRouter::note_success(ReadLink& link) {
+  std::lock_guard lock(link.mutex);
+  link.failure_streak = 0;
+}
 
 void ReadRouter::note_failure(ReadLink& link) {
+  std::lock_guard lock(link.mutex);
+  note_failure_locked(link);
+}
+
+void ReadRouter::note_failure_locked(ReadLink& link) {
   if (++link.failure_streak >= config_.degrade_after) {
     PRINS_LOG(kWarn) << "read link failed " << link.failure_streak
                      << " exchanges in a row; degrading";

@@ -12,6 +12,18 @@
 //                 least-outstanding) with a kClientReadRequest demanding
 //                 at-least-min_sequence freshness.
 //
+// Each link is pipelined: any number of reader threads may have exchanges
+// in flight on it at once.  A reader parks in the link's table of waiting
+// exchanges, puts its request on the wire under a short send lock, and
+// waits for the reply that echoes its exchange id.  Exactly one waiter at
+// a time receives (leader/follower): it hands each decoded reply to the
+// exchange it belongs to, and passes the receiving role on once its own
+// reply is in.  Replies are keyed by (kind, sequence): a kClientReadReply
+// or kNak answers the exchange whose id it echoes, a kAck answers the one
+// kReadLease the link may have on the wire; a frame nobody waits for is
+// dropped.  This is one path over the plain Transport API, so every
+// transport and decorator works unchanged.
+//
 // The replica proves freshness from its per-LBA applied table or the
 // primary's published read lease and answers with the raw block; if it
 // cannot (kStaleRead NAK, a damaged block, a timeout, a dead link), the
@@ -28,6 +40,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -93,13 +106,28 @@ class ReadRouter final : public BlockDevice {
   Status read_fresh(Lba lba, MutByteSpan out, std::uint64_t min_sequence);
 
  private:
+  /// One client-read exchange parked on its link until the reply that
+  /// echoes `id` arrives, the deadline passes or the link fails.
+  struct Exchange {
+    std::uint64_t id = 0;
+    std::condition_variable cv;  // signalled under the link's mutex
+    bool done = false;
+    Status status;               // with done: OK = `reply` is the answer
+    ReplicationMessage reply;
+  };
+
   struct ReadLink {
     std::unique_ptr<Transport> transport;
-    std::mutex mutex;  // one request/reply exchange on the wire at a time
+    std::mutex send_mutex;  // one frame onto the wire at a time
+    std::mutex mutex;       // guards everything below but the atomics
+    std::vector<Exchange*> waiting;  // parked, no reply yet
+    bool receiving = false;          // a waiter holds the recv_for role
+    std::size_t failure_streak = 0;
+    std::uint64_t lease_published = 0;
+    std::uint64_t lease_in_flight = 0;  // floor of the unanswered kReadLease
+    std::chrono::steady_clock::time_point lease_deadline;
     std::atomic<std::size_t> outstanding{0};  // reads queued or in flight
     std::atomic<bool> degraded{false};
-    std::size_t failure_streak = 0;         // guarded by mutex
-    std::uint64_t lease_published = 0;      // guarded by mutex
   };
 
   /// Serve one offloadable block from a replica.  OK = `out` holds fresh
@@ -107,16 +135,25 @@ class ReadRouter final : public BlockDevice {
   /// link's health bookkeeping has already been updated).
   Status read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
                            std::uint64_t min_sequence);
-  /// Publish the engine's read floor as a kReadLease if it has advanced
-  /// far enough (link mutex held).  Lease failures are soft: the replica
-  /// just keeps proving freshness per LBA.
-  void maybe_renew_lease(ReadLink& link);
-  /// Wait for the reply matching `exchange_id`, skimming stale frames.
-  Result<ReplicationMessage> await_reply(ReadLink& link,
-                                         std::uint64_t exchange_id);
+  /// If the engine's read floor has advanced far enough and no renewal is
+  /// on the wire, claim one: returns the floor to publish as a kReadLease
+  /// (0 = none due).  Lease failures are soft: the replica just keeps
+  /// proving freshness per LBA.
+  std::uint64_t claim_lease_locked(ReadLink& link);
+  /// Wait for `exchange`'s reply, taking the receiving role whenever no
+  /// other waiter holds it.
+  Result<ReplicationMessage> await_reply(ReadLink& link, Exchange& exchange);
+  /// An exchange is leaving the link: if nobody is receiving, wake the
+  /// oldest waiting exchange to take the role over.
+  void pass_receiving_locked(ReadLink& link);
+  /// Hand one received reply to whoever it answers; drop it otherwise.
+  void route_reply_locked(ReadLink& link, ReplicationMessage reply);
+  /// The link's transport failed: every waiting exchange fails with it.
+  void fail_waiting_locked(ReadLink& link, const Status& status);
   ReadLink* pick_link();
   void note_success(ReadLink& link);
   void note_failure(ReadLink& link);
+  void note_failure_locked(ReadLink& link);
 
   std::shared_ptr<PrinsEngine> engine_;
   ReadRouterConfig config_;

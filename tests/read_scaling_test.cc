@@ -11,9 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "block/mem_disk.h"
@@ -31,6 +37,24 @@ namespace {
 
 constexpr std::uint32_t kBs = 1024;
 constexpr std::uint64_t kBlocks = 64;
+
+// Sanitizers slow the in-proc reply path ~10x; stretch the router's reply
+// deadlines so the scripted link, not the scheduler, decides what times out.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr int kTimingScale = 10;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr int kTimingScale = 10;
+#else
+constexpr int kTimingScale = 1;
+#endif
+#else
+constexpr int kTimingScale = 1;
+#endif
+
+std::chrono::milliseconds scaled_ms(int ms) {
+  return std::chrono::milliseconds(ms * kTimingScale);
+}
 
 Bytes pattern_block(std::uint64_t seed, std::size_t size = kBs) {
   Bytes block(size);
@@ -52,8 +76,13 @@ ReplicationMessage client_read_request(Lba lba, std::uint64_t min_sequence,
   return req;
 }
 
+/// Wraps the router's end of a read link (a fault injector or one of the
+/// scripted decorators below); null leaves the link bare.
+using LinkWrap =
+    std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)>;
+
 /// Primary + one replica over in-proc links: a delta link the engine
-/// replicates over, and (optionally faulty) read links for a ReadRouter.
+/// replicates over, and a (possibly wrapped) read link for a ReadRouter.
 struct OffloadRig {
   std::shared_ptr<MemDisk> primary_disk;
   std::shared_ptr<MemDisk> replica_disk;
@@ -63,7 +92,7 @@ struct OffloadRig {
   std::vector<std::thread> serve_threads;
 
   explicit OffloadRig(ReadRouterConfig router_config = {},
-                      FaultConfig* read_link_faults = nullptr) {
+                      const LinkWrap& wrap_read_link = nullptr) {
     primary_disk = std::make_shared<MemDisk>(kBlocks, kBs);
     replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
     ReplicaConfig rconfig;
@@ -82,10 +111,7 @@ struct OffloadRig {
     auto [read_client, read_server] = make_inproc_pair();
     serve(std::move(read_server));
     std::unique_ptr<Transport> read_end = std::move(read_client);
-    if (read_link_faults != nullptr) {
-      read_end = std::make_unique<FaultyTransport>(std::move(read_end),
-                                                   *read_link_faults);
-    }
+    if (wrap_read_link) read_end = wrap_read_link(std::move(read_end));
     router->add_read_replica(std::move(read_end));
   }
 
@@ -289,6 +315,393 @@ TEST(ReadRouter, WritesPassThroughToTheEngine) {
 }
 
 // ---------------------------------------------------------------------------
+// Pipelined read links: many exchanges in flight on one link, each reply
+// matched to its exchange by (kind, sequence).  The decorators below sit on
+// the router's end of the read link and script what its receiver sees.
+
+/// Forwards everything; subclasses override the side they script.
+class LinkDecorator : public Transport {
+ public:
+  explicit LinkDecorator(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+  Status send(ByteSpan message) override { return inner_->send(message); }
+  Result<Bytes> recv() override { return inner_->recv(); }
+  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    return inner_->recv_for(timeout);
+  }
+  void close() override { inner_->close(); }
+  std::string describe() const override {
+    return "scripted(" + inner_->describe() + ")";
+  }
+
+ protected:
+  static std::chrono::milliseconds left(
+      std::chrono::steady_clock::time_point deadline) {
+    return std::max(std::chrono::milliseconds(0),
+                    std::chrono::ceil<std::chrono::milliseconds>(
+                        deadline - std::chrono::steady_clock::now()));
+  }
+
+  std::unique_ptr<Transport> inner_;
+};
+
+/// Withholds every reply until `open_at` frames have been sent; cut()
+/// fails the link under whoever is receiving.
+class ReplyGate final : public LinkDecorator {
+ public:
+  ReplyGate(std::unique_ptr<Transport> inner, std::size_t open_at)
+      : LinkDecorator(std::move(inner)), open_at_(open_at) {}
+
+  Status send(ByteSpan message) override {
+    Status sent = inner_->send(message);
+    {
+      std::lock_guard lock(mutex_);
+      ++sent_;
+    }
+    cv_.notify_all();
+    return sent;
+  }
+  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    {
+      std::unique_lock lock(mutex_);
+      if (!cv_.wait_until(lock, deadline,
+                          [&] { return sent_ >= open_at_ || cut_; })) {
+        return timeout_error("gate still closed");
+      }
+      if (cut_) return unavailable("read link cut");
+    }
+    return inner_->recv_for(left(deadline));
+  }
+
+  bool wait_for_sent(std::size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return sent_ >= n; });
+  }
+  void cut() {
+    {
+      std::lock_guard lock(mutex_);
+      cut_ = true;
+    }
+    cv_.notify_all();
+    inner_->close();
+  }
+
+ private:
+  const std::size_t open_at_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t sent_ = 0;
+  bool cut_ = false;
+};
+
+/// Holds back the first client-read reply for `lba` until release(); the
+/// held frame then comes out ahead of the next one.
+class HoldOneReply final : public LinkDecorator {
+ public:
+  HoldOneReply(std::unique_ptr<Transport> inner, Lba lba)
+      : LinkDecorator(std::move(inner)), lba_(lba) {}
+
+  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    {
+      std::lock_guard lock(mutex_);
+      if (released_ && !held_.empty()) {
+        delivered_late_ = true;
+        return std::exchange(held_, Bytes{});
+      }
+    }
+    for (;;) {
+      PRINS_ASSIGN_OR_RETURN(Bytes wire, inner_->recv_for(left(deadline)));
+      auto reply = ReplicationMessage::decode(wire);
+      std::lock_guard lock(mutex_);
+      if (holding_ || !reply.is_ok() ||
+          reply->kind != MessageKind::kClientReadReply || reply->lba != lba_) {
+        return wire;
+      }
+      holding_ = true;
+      held_ = std::move(wire);
+      cv_.notify_all();
+    }
+  }
+
+  void wait_until_held() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return holding_; });
+  }
+  void release() {
+    std::lock_guard lock(mutex_);
+    released_ = true;
+  }
+  bool delivered_late() {
+    std::lock_guard lock(mutex_);
+    return delivered_late_;
+  }
+
+ private:
+  const Lba lba_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  bool released_ = false;
+  bool delivered_late_ = false;
+  Bytes held_;
+};
+
+/// Swallows the next `n` frames sent after drop_next(n): those exchanges
+/// get no reply and time out.
+class DropRequests final : public LinkDecorator {
+ public:
+  using LinkDecorator::LinkDecorator;
+  Status send(ByteSpan message) override {
+    if (to_drop_.load() > 0) {
+      to_drop_.fetch_sub(1);
+      return Status::ok();
+    }
+    return inner_->send(message);
+  }
+  void drop_next(int n) { to_drop_.store(n); }
+
+ private:
+  std::atomic<int> to_drop_{0};
+};
+
+/// Holds the first kAck (a lease ack) and lets it out just ahead of the
+/// client-read reply whose exchange id equals the acked lease floor.
+class LateLeaseAck final : public LinkDecorator {
+ public:
+  using LinkDecorator::LinkDecorator;
+  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    if (!queued_.empty()) {
+      Bytes next = std::move(queued_.front());
+      queued_.pop_front();
+      return next;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    for (;;) {
+      PRINS_ASSIGN_OR_RETURN(Bytes wire, inner_->recv_for(left(deadline)));
+      auto msg = ReplicationMessage::decode(wire);
+      if (!msg.is_ok()) return wire;
+      if (msg->kind == MessageKind::kAck && held_ack_.empty()) {
+        held_floor_ = msg->sequence;
+        held_ack_ = std::move(wire);
+        continue;
+      }
+      if (!held_ack_.empty() && msg->kind == MessageKind::kClientReadReply &&
+          msg->sequence == held_floor_) {
+        collided_ = true;
+        queued_.push_back(std::move(wire));
+        return std::exchange(held_ack_, Bytes{});
+      }
+      return wire;
+    }
+  }
+  bool collided() const { return collided_; }
+
+ private:
+  // One reader drives this link, so no lock.
+  std::deque<Bytes> queued_;
+  Bytes held_ack_;
+  std::uint64_t held_floor_ = 0;
+  bool collided_ = false;
+};
+
+/// Writes `n` patterned blocks at LBAs 0..n-1 and waits for every replica
+/// to ack them, so each of those LBAs reads offloadable.
+std::vector<Bytes> write_settled(OffloadRig& rig, std::uint64_t n) {
+  std::vector<Bytes> blocks;
+  for (Lba lba = 0; lba < n; ++lba) {
+    blocks.push_back(pattern_block(500 + lba));
+    EXPECT_TRUE(rig.engine->write(lba, blocks.back()).is_ok());
+  }
+  EXPECT_TRUE(rig.engine->drain().is_ok());
+  return blocks;
+}
+
+TEST(ReadRouterPipelining, ConcurrentReadersShareOneLink) {
+  // The mirror answers nothing until four requests are on the wire, so
+  // the readers are served only if all four exchanges fly at once.
+  constexpr std::size_t kReaders = 4;
+  ReadRouterConfig config;
+  config.op_timeout = scaled_ms(3000);
+  config.lease_renew_every = 0;  // only client reads on the wire
+  OffloadRig rig(config, [&](std::unique_ptr<Transport> link) {
+    return std::make_unique<ReplyGate>(std::move(link), kReaders);
+  });
+  const std::vector<Bytes> blocks = write_settled(rig, kReaders);
+
+  std::vector<Bytes> got(kReaders, Bytes(kBs));
+  std::vector<Status> served(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back(
+        [&, r] { served[r] = rig.router->read(Lba(r), got[r]); });
+  }
+  for (auto& t : readers) t.join();
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_TRUE(served[r].is_ok()) << served[r].to_string();
+    EXPECT_EQ(got[r], blocks[r]) << "reader " << r;
+  }
+  EXPECT_EQ(rig.engine->metrics().replica_reads, kReaders);  // no fallback
+  EXPECT_EQ(rig.replica->metrics().client_reads_served, kReaders);
+  EXPECT_EQ(rig.router->healthy_links(), 1u);
+}
+
+TEST(ReadRouterPipelining, DroppedReplyTimesOutOnlyItsOwnExchange) {
+  constexpr Lba kSlow = 1;
+  constexpr Lba kFast = 2;
+  ReadRouterConfig config;
+  config.op_timeout = scaled_ms(1000);
+  config.lease_renew_every = 0;
+  HoldOneReply* link = nullptr;
+  OffloadRig rig(config, [&](std::unique_ptr<Transport> inner) {
+    auto wrapped = std::make_unique<HoldOneReply>(std::move(inner), kSlow);
+    link = wrapped.get();
+    return wrapped;
+  });
+  const std::vector<Bytes> blocks = write_settled(rig, 4);
+
+  // The slow exchange's reply is held back; it waits out its deadline
+  // and falls back to the primary with correct data.
+  std::atomic<bool> slow_done{false};
+  Bytes slow_got(kBs);
+  Status slow_status;
+  std::thread slow([&] {
+    slow_status = rig.router->read(kSlow, slow_got);
+    slow_done.store(true);
+  });
+  link->wait_until_held();
+
+  // Meanwhile other exchanges on the same link are answered at once.
+  constexpr std::uint64_t kFastReads = 5;
+  Bytes got(kBs);
+  for (std::uint64_t i = 0; i < kFastReads; ++i) {
+    ASSERT_TRUE(rig.router->read(kFast, got).is_ok());
+    EXPECT_EQ(got, blocks[kFast]);
+  }
+  EXPECT_FALSE(slow_done.load()) << "fast reads waited for the slow one";
+  EXPECT_EQ(rig.engine->metrics().replica_reads, kFastReads);
+  slow.join();
+  ASSERT_TRUE(slow_status.is_ok());
+  EXPECT_EQ(slow_got, blocks[kSlow]);
+  EXPECT_EQ(rig.engine->metrics().replica_reads, kFastReads);  // fell back
+
+  // The late reply now arrives ahead of the next exchange's own: it finds
+  // no waiting slot and is dropped, never handed to the later read.
+  link->release();
+  ASSERT_TRUE(rig.router->read(kFast, got).is_ok());
+  EXPECT_TRUE(link->delivered_late());
+  EXPECT_EQ(got, blocks[kFast]);
+  EXPECT_EQ(rig.engine->metrics().replica_reads, kFastReads + 1);
+  EXPECT_EQ(rig.router->healthy_links(), 1u);
+}
+
+TEST(ReadRouterPipelining, LinkClosedMidFlightWakesEveryWaiter) {
+  constexpr std::size_t kReaders = 4;
+  ReadRouterConfig config;
+  // Far longer than the test may take: only the cut may end the waits.
+  config.op_timeout = std::chrono::milliseconds(60000);
+  config.lease_renew_every = 0;
+  ReplyGate* gate = nullptr;
+  OffloadRig rig(config, [&](std::unique_ptr<Transport> link) {
+    auto wrapped = std::make_unique<ReplyGate>(std::move(link),
+                                               /*open_at=*/kReaders + 1);
+    gate = wrapped.get();
+    return wrapped;
+  });
+  const std::vector<Bytes> blocks = write_settled(rig, kReaders);
+
+  std::vector<Bytes> got(kReaders, Bytes(kBs));
+  std::vector<Status> served(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back(
+        [&, r] { served[r] = rig.router->read(Lba(r), got[r]); });
+  }
+  EXPECT_TRUE(gate->wait_for_sent(kReaders, scaled_ms(5000)))
+      << "the readers' exchanges were not all in flight at once";
+  const auto cut_at = std::chrono::steady_clock::now();
+  gate->cut();
+  for (auto& t : readers) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - cut_at,
+            std::chrono::seconds(30));
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_TRUE(served[r].is_ok()) << served[r].to_string();
+    EXPECT_EQ(got[r], blocks[r]) << "reader " << r;
+  }
+  EXPECT_EQ(rig.engine->metrics().replica_reads, 0u);  // all fell back
+}
+
+TEST(ReadRouterPipelining, DegradeCountsConsecutiveFailedExchanges) {
+  ReadRouterConfig config;
+  config.op_timeout = scaled_ms(50);
+  config.degrade_after = 3;
+  config.lease_renew_every = 0;
+  DropRequests* link = nullptr;
+  OffloadRig rig(config, [&](std::unique_ptr<Transport> inner) {
+    auto wrapped = std::make_unique<DropRequests>(std::move(inner));
+    link = wrapped.get();
+    return wrapped;
+  });
+  const std::vector<Bytes> blocks = write_settled(rig, 1);
+  Bytes got(kBs);
+  auto read_ok = [&] {
+    ASSERT_TRUE(rig.router->read(0, got).is_ok());
+    EXPECT_EQ(got, blocks[0]);
+  };
+
+  link->drop_next(2);
+  read_ok();
+  read_ok();
+  EXPECT_EQ(rig.router->healthy_links(), 1u);  // streak 2 of 3
+  read_ok();                                   // a success resets it
+  EXPECT_EQ(rig.engine->metrics().replica_reads, 1u);
+
+  link->drop_next(2);
+  read_ok();
+  read_ok();
+  EXPECT_EQ(rig.router->healthy_links(), 1u);  // 2 again, not 4
+  link->drop_next(1);
+  read_ok();
+  EXPECT_EQ(rig.router->healthy_links(), 0u);  // three in a row
+
+  read_ok();  // the primary serves on
+  EXPECT_EQ(rig.engine->metrics().replica_reads, 1u);
+}
+
+TEST(ReadRouterPipelining, LeaseAckNeverAnswersAClientRead) {
+  // Lease floors and exchange ids are independent counters.  Force a
+  // collision: the first read publishes the lease at floor F, its kAck(F)
+  // is held back and arrives just ahead of exchange F's reply.  Taken as
+  // that read's reply it would count as a failed exchange and degrade the
+  // link (degrade_after = 1).
+  ReadRouterConfig config;
+  config.op_timeout = scaled_ms(5000);  // the lease stays pending
+  config.degrade_after = 1;
+  LateLeaseAck* link = nullptr;
+  OffloadRig rig(config, [&](std::unique_ptr<Transport> inner) {
+    auto wrapped = std::make_unique<LateLeaseAck>(std::move(inner));
+    link = wrapped.get();
+    return wrapped;
+  });
+  const std::vector<Bytes> blocks = write_settled(rig, 8);
+  const std::uint64_t floor = rig.engine->read_floor();
+  ASSERT_GE(floor, 1u);
+  ASSERT_LE(floor, kBlocks);
+
+  // Exchange ids start at 1, so read number F carries id F.
+  Bytes got(kBs);
+  for (std::uint64_t i = 0; i < floor; ++i) {
+    const Lba lba = i % blocks.size();
+    ASSERT_TRUE(rig.router->read(lba, got).is_ok());
+    EXPECT_EQ(got, blocks[lba]) << "read " << i;
+  }
+  EXPECT_TRUE(link->collided());
+  EXPECT_EQ(rig.router->healthy_links(), 1u);
+  EXPECT_EQ(rig.engine->metrics().replica_reads, floor);
+}
+
+// ---------------------------------------------------------------------------
 // Stale-read soak: a writer hammers hot LBAs while readers demand
 // freshness across a faulty read link.  The oracle packs (version,
 // sequence) per LBA; a reader that demanded sequence S must never observe
@@ -304,7 +717,9 @@ TEST(StaleReadSoak, NoFreshnessViolationsAndFullAvailability) {
   ReadRouterConfig config;
   config.op_timeout = std::chrono::milliseconds(100);
   config.degrade_after = 1u << 20;  // the soak wants the link to keep trying
-  OffloadRig rig(config, &faults);
+  OffloadRig rig(config, [&](std::unique_ptr<Transport> link) {
+    return std::make_unique<FaultyTransport>(std::move(link), faults);
+  });
 
   constexpr std::size_t kHot = 8;
   constexpr std::uint64_t kWrites = 400;
